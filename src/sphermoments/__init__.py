@@ -2,7 +2,6 @@
 and fractional anisotropy for spherical distributions, validated against a
 numerical-integration oracle."""
 
-from ._backend import available_backends, get_backend, use_backend
 from .anisotropy import (
     AnisotropyReport,
     DiffusionTensor,

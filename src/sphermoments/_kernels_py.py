@@ -1,19 +1,12 @@
-"""Pure-Python scalar kernels: gamma and modified Bessel machinery.
+"""Scalar kernels: gamma and modified Bessel machinery.
 
-Mirrors the compiled extension ``sphermoments._kernels`` operation for
-operation (same branch thresholds, same constants); ``_backend`` selects
-whichever is importable.  Callers are expected to have validated their
-inputs (finite, in domain) before reaching this layer.
+``specfun`` is the public front end; callers are expected to have
+validated their inputs (finite, in domain) before reaching this layer.
 """
 
 import math
 
 from .errors import ConvergenceError
-
-# method codes shared with the compiled backend
-SERIES = 0
-ASYMPTOTIC = 1
-HALF_INTEGER = 2
 
 SERIES_MAX_TERMS = 500
 SERIES_RTOL = 1e-17
@@ -103,23 +96,23 @@ def _half_integer_scaled(p, x):
 
 
 def bessel_i_parts(p, x):
-    """Evaluate I_p(x); returns (value, scaled_value, method_code).
+    """Evaluate I_p(x); returns (value, scaled_value, method_name).
 
     scaled_value is e^(-x) I_p(x); value is +inf above the unscaled
     overflow threshold.
     """
     if x == 0.0:
         v = 1.0 if p == 0.0 else 0.0
-        return v, v, SERIES
+        return v, v, "series"
     if p in (0.5, 1.5, 2.5) and x >= HALF_INTEGER_MIN_X:
         scaled = _half_integer_scaled(p, x)
-        method = HALF_INTEGER
+        method = "closed_form_half_integer"
     elif x <= series_cutoff(p):
         value = _bessel_series(p, x)
-        return value, value * math.exp(-x), SERIES
+        return value, value * math.exp(-x), "series"
     else:
         scaled = _bessel_asymptotic_scaled(p, x)
-        method = ASYMPTOTIC
+        method = "asymptotic"
     if x > UNSCALED_OVERFLOW_X:
         value = math.inf
     else:

@@ -25,6 +25,8 @@ from .errors import (
 )
 from .moments import (
     SMALL_K,
+    _check_concentration,
+    _check_direction,
     bimodal_vmf_moments,
     peanut_moments,
     vmf_covariance,
@@ -260,12 +262,8 @@ def vmf_closed_form_report(k, u, params):
     at k = 0; beta = (s^2/mu) I_{n/2+1}(k)/I_{n/2-1}(k) with limit 0.
     The ratio is reported as +inf if alpha underflows to zero.
     """
-    u = np.asarray(u, dtype=float)
-    k = float(k)
-    if k < 0.0 or not math.isfinite(k):
-        raise DomainError("concentration must be finite and >= 0")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise ValidationError("mean direction must be a unit vector")
+    u = _check_direction(u)
+    k = _check_concentration(k)
     n = u.size
     if k < SMALL_K:
         alpha = params.factor / n

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import _backend, anisotropy, distributions, moments, oracle, validation
+from . import anisotropy, distributions, moments, oracle, validation
 from .errors import ConvergenceError
 from .reports import moment_report_to_json
 
@@ -31,7 +31,11 @@ SWEEP_OUTPUTS = ("fa", "ratio", "eigenvalues", "mean_norm")
 
 
 def _default_seed():
-    return int(os.environ.get("SPHERMOMENTS_SEED", "0"))
+    text = os.environ.get("SPHERMOMENTS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SPHERMOMENTS_SEED must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -333,51 +337,39 @@ def cmd_bench(args):
     values = [float(v) for v in args.k_grid.split(",") if v.strip()]
     if not values:
         raise ValueError("--k-grid must be nonempty")
+    if args.repeats < 1:
+        raise ValueError("--repeats must be >= 1")
     n = args.n
     u = np.zeros(n)
     u[0] = 1.0
-    backends = (
-        _backend.available_backends()
-        if args.compare_backends
-        else (_backend.get_backend(),)
-    )
     oracle_method = f"quad_{args.resolution}" if n <= 3 else f"mc_{args.samples}"
     rows = []
-    previous = _backend.get_backend()
-    try:
-        for backend in backends:
-            _backend.use_backend(backend)
-            for k in values:
-                closed_s = _time_per_call(
-                    lambda: moments.vmf_covariance(k, u), args.repeats
-                )
-                dist = distributions.vmf(u, k)
-                if n <= 3:
-                    spec = oracle.QuadratureSpec.for_dimension(n, args.resolution)
+    for k in values:
+        closed_s = _time_per_call(lambda: moments.vmf_covariance(k, u), args.repeats)
+        dist = distributions.vmf(u, k)
+        if n <= 3:
+            spec = oracle.QuadratureSpec.for_dimension(n, args.resolution)
 
-                    def run_oracle():
-                        oracle.quad_moments(dist, spec, check=False)
+            def run_oracle():
+                oracle.quad_moments(dist, spec, check=False)
 
-                else:
-                    mc_spec = oracle.McSpec(n, args.samples, args.seed)
+        else:
+            mc_spec = oracle.McSpec(n, args.samples, args.seed)
 
-                    def run_oracle():
-                        oracle.mc_moments(dist, mc_spec)
+            def run_oracle():
+                oracle.mc_moments(dist, mc_spec)
 
-                oracle_s = _time_per_call(run_oracle, args.repeats, min_time=0.05)
-                rows.append(
-                    {
-                        "backend": backend,
-                        "n": n,
-                        "k": k,
-                        "oracle_method": oracle_method,
-                        "closed_form_us": closed_s * 1e6,
-                        "oracle_us": oracle_s * 1e6,
-                        "speedup": oracle_s / closed_s,
-                    }
-                )
-    finally:
-        _backend.use_backend(previous)
+        oracle_s = _time_per_call(run_oracle, args.repeats, min_time=0.05)
+        rows.append(
+            {
+                "n": n,
+                "k": k,
+                "oracle_method": oracle_method,
+                "closed_form_us": closed_s * 1e6,
+                "oracle_us": oracle_s * 1e6,
+                "speedup": oracle_s / closed_s,
+            }
+        )
     header = list(rows[0].keys())
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(row[name]) for name in header) for row in rows]
@@ -469,9 +461,8 @@ def build_parser():
         "bench",
         help="time closed-form covariance vs the oracle (CSV)",
         description=(
-            "CSV columns: backend,n,k,oracle_method,closed_form_us,oracle_us,"
-            "speedup.  Per-call times are medians over --repeats samples; "
-            "--compare-backends adds rows for every kernel backend."
+            "CSV columns: n,k,oracle_method,closed_form_us,oracle_us,speedup.  "
+            "Per-call times are medians over --repeats samples."
         ),
     )
     p.add_argument("--n", type=int, default=3)
@@ -481,7 +472,6 @@ def build_parser():
     p.add_argument("--samples", type=int, default=100_000,
                    help="oracle sample count when n > 3")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--compare-backends", action="store_true")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 
@@ -489,9 +479,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # building the parser reads SPHERMOMENTS_SEED, which may be malformed
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         sys.stdout.write(dumps({"error": str(exc)}) + "\n")

@@ -25,6 +25,7 @@ from .distributions import (
     validate as _validate_dist,
 )
 from .errors import DomainError, UnsupportedError, ValidationError
+from .moments import _check_concentration, _check_direction
 from .reports import MomentReport
 
 __all__ = [
@@ -348,12 +349,8 @@ def sample_vmf(k, u, count, seed):
     The empirical mean converges to the closed-form expectation at the
     Monte-Carlo rate; deterministic for a given seed.
     """
-    u = np.asarray(u, dtype=float)
-    k = float(k)
-    if k < 0.0 or not math.isfinite(k):
-        raise DomainError("concentration must be finite and >= 0")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise ValidationError("mean direction must be a unit vector")
+    u = _check_direction(u)
+    k = _check_concentration(k)
     n = u.size
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     if k == 0.0:

@@ -3,23 +3,17 @@
 Self-contained evaluation (power series, large-argument expansion,
 half-integer closed forms) for real nonnegative order, plus the
 overflow-safe ratio I_p/I_{p-1} that parameterizes every closed-form
-moment in this package.  The heavy scalar work lives in the kernel
-backend (compiled extension or pure-Python twin, see ``_backend``).
+moment in this package.  The scalar kernels live in ``_kernels_py``;
+this module validates inputs and wraps their results.
 """
 
 import math
 from dataclasses import dataclass
 
-from . import _backend
+from . import _kernels_py
 from .errors import DomainError
 
 __all__ = ["BesselEval", "gamma", "bessel_i", "bessel_ratio"]
-
-_METHOD_NAMES = {
-    _backend._kernels_py.SERIES: "series",
-    _backend._kernels_py.ASYMPTOTIC: "asymptotic",
-    _backend._kernels_py.HALF_INTEGER: "closed_form_half_integer",
-}
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,7 @@ def gamma(x):
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma requires finite x > 0, got {x}")
-    return _backend.impl.gamma(x)
+    return _kernels_py.gamma(x)
 
 
 def _check_order_argument(p, x):
@@ -66,8 +60,7 @@ def bessel_i(p, x):
     used is reported in the result.
     """
     p, x = _check_order_argument(p, x)
-    value, scaled, code = _backend.impl.bessel_i_parts(p, x)
-    return BesselEval(value, scaled, _METHOD_NAMES[code])
+    return BesselEval(*_kernels_py.bessel_i_parts(p, x))
 
 
 def bessel_ratio(p, x):
@@ -79,4 +72,4 @@ def bessel_ratio(p, x):
     p, x = _check_order_argument(p, x)
     if p < 0.5:
         raise DomainError(f"ratio requires order p >= 1/2, got {p}")
-    return _backend.impl.bessel_ratio(p, x)
+    return _kernels_py.bessel_ratio(p, x)

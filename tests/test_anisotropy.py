@@ -225,6 +225,15 @@ def test_peanut_report_rejects_asymmetric_and_indefinite():
         an.peanut_closed_form_report(np.diag([1.0, -1.0]), P1)
 
 
+def test_vmf_report_rejects_bad_direction_and_concentration():
+    for bad_u in ([1.0, 1.0], [math.nan, 0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], [1.0]):
+        with pytest.raises(ValidationError):
+            an.vmf_closed_form_report(2.0, bad_u, P1)
+    for bad_k in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            an.vmf_closed_form_report(bad_k, [1.0, 0.0, 0.0], P1)
+
+
 def test_generic_path_handles_asymmetric_peanut():
     rng = rng_for(10)
     a = random_spd(rng, 3, asymmetric=True)

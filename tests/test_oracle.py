@@ -6,7 +6,7 @@ from scipy import stats
 
 from sphermoments import distributions as d
 from sphermoments import moments, oracle
-from sphermoments.errors import UnsupportedError, ValidationError
+from sphermoments.errors import DomainError, UnsupportedError, ValidationError
 
 from util import random_spd, random_unit, rng_for
 
@@ -250,8 +250,12 @@ def test_sampler_density_agreement_chi_square():
 
 
 def test_sampler_input_validation():
-    with pytest.raises(ValidationError):
-        oracle.sample_vmf(1.0, [1.0, 1.0], 100, 0)
+    for bad_u in ([1.0, 1.0], [math.nan, 0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], [1.0]):
+        with pytest.raises(ValidationError):
+            oracle.sample_vmf(2.0, bad_u, 10, 1)
+    for bad_k in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            oracle.sample_vmf(bad_k, [1.0, 0.0, 0.0], 10, 1)
     with pytest.raises(ValidationError):
         oracle.sample_peanut(np.diag([1.0, -1.0]), 100, 0)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphermoments import _backend, specfun
+from sphermoments import _kernels_py, specfun
 from sphermoments.errors import ConvergenceError, DomainError
 
 mp.mp.dps = 40
@@ -22,7 +22,7 @@ def test_gamma_known_values():
     assert specfun.gamma(5.0) == pytest.approx(24.0, rel=1e-14)
 
 
-def test_gamma_against_high_precision_reference(kernel_backend):
+def test_gamma_against_high_precision_reference():
     for x in np.linspace(0.5, 50.0, 181):
         ref = float(mp.gamma(float(x)))
         assert specfun.gamma(float(x)) == pytest.approx(ref, rel=1e-13)
@@ -65,7 +65,7 @@ def test_bessel_half_integer_closed_form():
     assert specfun.bessel_i(0.5, 1.0).value == pytest.approx(0.93767, abs=5e-6)
 
 
-def test_bessel_against_high_precision_reference(kernel_backend):
+def test_bessel_against_high_precision_reference():
     xs = np.concatenate([np.linspace(1e-3, 30.0, 25), np.geomspace(30.0, 500.0, 25)])
     for p in _ORDERS:
         for x in xs:
@@ -75,7 +75,7 @@ def test_bessel_against_high_precision_reference(kernel_backend):
             assert got.scaled_value == pytest.approx(ref_scaled, rel=1e-10)
 
 
-def test_bessel_scaled_value_consistency(kernel_backend):
+def test_bessel_scaled_value_consistency():
     for p in _ORDERS:
         for x in np.geomspace(0.1, 600.0, 40):
             got = specfun.bessel_i(p, float(x))
@@ -85,7 +85,7 @@ def test_bessel_scaled_value_consistency(kernel_backend):
                 )
 
 
-def test_bessel_overflow_flag(kernel_backend):
+def test_bessel_overflow_flag():
     got = specfun.bessel_i(1.0, 800.0)
     assert got.value == math.inf
     assert math.isfinite(got.scaled_value)
@@ -107,38 +107,36 @@ def test_bessel_rejects_out_of_domain(args):
         specfun.bessel_i(*args)
 
 
-def test_series_asymptotic_agreement_in_handover_window(kernel_backend):
-    impl = _backend.impl
+def test_series_asymptotic_agreement_in_handover_window():
     for p in (0.0, 1.0, 2.0, 3.5, 5.0):
-        cutoff = impl.series_cutoff(p)
+        cutoff = _kernels_py.series_cutoff(p)
         for x in np.linspace(0.85 * cutoff, 1.2 * cutoff, 9):
             x = float(x)
-            series = impl._bessel_series(p, x) * math.exp(-x)
-            asymptotic = impl._bessel_asymptotic_scaled(p, x)
+            series = _kernels_py._bessel_series(p, x) * math.exp(-x)
+            asymptotic = _kernels_py._bessel_asymptotic_scaled(p, x)
             assert series == pytest.approx(asymptotic, rel=1e-9)
 
 
-def test_half_integer_agrees_with_series_and_asymptotic(kernel_backend):
-    impl = _backend.impl
+def test_half_integer_agrees_with_series_and_asymptotic():
     for p in (0.5, 1.5, 2.5):
         for x in np.geomspace(1.0, 30.0, 15):
             x = float(x)
-            closed = impl._half_integer_scaled(p, x)
-            series = impl._bessel_series(p, x) * math.exp(-x)
+            closed = _kernels_py._half_integer_scaled(p, x)
+            series = _kernels_py._bessel_series(p, x) * math.exp(-x)
             assert closed == pytest.approx(series, rel=1e-11)
         for x in np.geomspace(40.0, 500.0, 8):
             x = float(x)
-            closed = impl._half_integer_scaled(p, x)
-            asymptotic = impl._bessel_asymptotic_scaled(p, x)
+            closed = _kernels_py._half_integer_scaled(p, x)
+            asymptotic = _kernels_py._bessel_asymptotic_scaled(p, x)
             assert closed == pytest.approx(asymptotic, rel=1e-11)
 
 
-def test_series_budget_exhaustion_raises(kernel_backend):
+def test_series_budget_exhaustion_raises():
     with pytest.raises(ConvergenceError):
-        _backend.impl._bessel_series(0.0, 1e4)
+        _kernels_py._bessel_series(0.0, 1e4)
 
 
-def test_recurrence_identity(kernel_backend):
+def test_recurrence_identity():
     # I_{p-1}(x) - I_{p+1}(x) = (2p/x) I_p(x)
     for p in (1.0, 1.5, 2.0, 3.5):
         for x in np.geomspace(0.1, 100.0, 30):
@@ -169,7 +167,7 @@ def test_ratio_large_argument():
     assert abs(specfun.bessel_ratio(1.0, 1e4) - 0.99995) < 1e-6
 
 
-def test_ratio_against_high_precision_reference(kernel_backend):
+def test_ratio_against_high_precision_reference():
     for p in (0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 10.0):
         for x in np.geomspace(1e-4, 1e5, 40):
             x = float(x)
@@ -177,14 +175,14 @@ def test_ratio_against_high_precision_reference(kernel_backend):
             assert specfun.bessel_ratio(p, x) == pytest.approx(ref, rel=1e-10)
 
 
-def test_ratio_coth_identity_on_grid(kernel_backend):
+def test_ratio_coth_identity_on_grid():
     for k in np.geomspace(0.05, 50.0, 120):
         k = float(k)
         ref = 1.0 / math.tanh(k) - 1.0 / k
         assert abs(specfun.bessel_ratio(1.5, k) - ref) <= 1e-10
 
 
-def test_ratio_second_identity_on_grid(kernel_backend):
+def test_ratio_second_identity_on_grid():
     # I_{5/2}/I_{1/2} - (I_{3/2}/I_{1/2})^2 in terms of coth
     for k in np.geomspace(0.1, 30.0, 80):
         k = float(k)
@@ -195,7 +193,7 @@ def test_ratio_second_identity_on_grid(kernel_backend):
         assert abs(r2 - r * r - rhs) <= 1e-9
 
 
-def test_ratio_bounded_and_monotone(kernel_backend):
+def test_ratio_bounded_and_monotone():
     for p in (0.5, 1.0, 1.5, 2.5, 4.0):
         values = [specfun.bessel_ratio(p, float(x)) for x in np.geomspace(1e-6, 1e5, 200)]
         assert all(0.0 <= v < 1.0 for v in values)
@@ -218,26 +216,3 @@ def test_ratio_monotone_property(p, x, step):
 def test_ratio_rejects_low_order():
     with pytest.raises(DomainError):
         specfun.bessel_ratio(0.3, 1.0)
-
-
-def test_backend_parity():
-    backends = _backend.available_backends()
-    if len(backends) < 2:
-        pytest.skip("only one backend built")
-    rng = np.random.default_rng(11)
-    cases = [(float(p), float(x))
-             for p in rng.uniform(0.0, 12.0, 20)
-             for x in np.geomspace(1e-3, 1e3, 10)]
-    results = {}
-    for name in backends:
-        prev = _backend.use_backend(name)
-        try:
-            results[name] = [
-                specfun.bessel_i(p, x).scaled_value for p, x in cases
-            ] + [
-                specfun.bessel_ratio(max(p, 0.5), x) for p, x in cases
-            ] + [specfun.gamma(g) for g in np.linspace(0.5, 50, 25)]
-        finally:
-            _backend.use_backend(prev)
-    a, b = (results[name] for name in backends)
-    np.testing.assert_allclose(a, b, rtol=1e-13)
