@@ -222,7 +222,7 @@ def _as_points(dist, theta):
 
 
 def _quadratic_form(M, points):
-    return np.einsum("mi,ij,mj->m", points, M, points)
+    return np.einsum("mi,mi->m", points @ M, points)
 
 
 def log_density_many(dist, thetas):

@@ -55,6 +55,13 @@ def _is_power_of_two(m):
     return m > 0 and (m & (m - 1)) == 0
 
 
+def _check_count(count, name="count"):
+    """A sample or point count: an integer >= 1 (bools rejected)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
+    return int(count)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Deterministic quadrature rule selector.
@@ -99,6 +106,7 @@ class McSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("n must be >= 2")
+        _check_count(self.samples, "samples")
         if self.samples < 10_000:
             raise ValidationError("Monte Carlo needs at least 10^4 samples")
         if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
@@ -223,11 +231,13 @@ def _uniform_blocks(n, samples, seed):
     for child, count in zip(np.random.SeedSequence(seed).spawn(len(counts)), counts):
         rng = np.random.Generator(np.random.Philox(child))
         z = rng.standard_normal((count, n))
-        yield z / np.linalg.norm(z, axis=1, keepdims=True)
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        yield z
 
 
 def uniform_sphere(n, count, seed):
     """Uniform points on the unit sphere (normalized standard normals)."""
+    count = _check_count(count)
     return np.concatenate(list(_uniform_blocks(n, count, seed)), axis=0)
 
 
@@ -252,8 +262,8 @@ def _mc_accumulate(dist, spec, orders):
                 sums[1] += f @ block
                 sqsums[1] += f2 @ b2
             elif order == 2:
-                sums[2] += np.einsum("m,mi,mj->ij", f, block, block)
-                sqsums[2] += np.einsum("m,mi,mj->ij", f2, b2, b2)
+                sums[2] += (block.T * f) @ block
+                sqsums[2] += (b2.T * f2) @ b2
             elif order == 3:
                 sums[3] += np.einsum("m,mi,mj,mk->ijk", f, block, block, block)
                 sqsums[3] += np.einsum("m,mi,mj,mk->ijk", f2, b2, b2, b2)
@@ -351,6 +361,7 @@ def sample_vmf(k, u, count, seed):
     """
     u = _check_direction(u)
     k = _check_concentration(k)
+    count = _check_count(count)
     n = u.size
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     if k == 0.0:
@@ -388,6 +399,7 @@ def sample_peanut(A, count, seed):
     The envelope constant n lambda_max / tr(A) bounds the density ratio,
     so proposals are accepted with probability theta^T A theta / lambda_max.
     """
+    count = _check_count(count)
     dist = SphericalDistribution("peanut", len(np.atleast_2d(A)), A=A)
     violations = _validate_dist(dist)
     if violations:
@@ -402,9 +414,9 @@ def sample_peanut(A, count, seed):
     proposed = 0
     while got < count:
         m = max(count - got, 1024)
-        z = rng.standard_normal((m, n))
-        theta = z / np.linalg.norm(z, axis=1, keepdims=True)
-        ratio = np.einsum("mi,ij,mj->m", theta, A, theta) / lam_max
+        theta = rng.standard_normal((m, n))
+        theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+        ratio = np.einsum("mi,mi->m", theta @ A, theta) / lam_max
         theta = theta[rng.random(m) <= ratio]
         take = min(len(theta), count - got)
         points[got : got + take] = theta[:take]

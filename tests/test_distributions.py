@@ -206,6 +206,44 @@ def test_bingham_outside_three_dimensions_is_unnormalized():
     assert d.density_is_normalized(d.bingham(random_spd(rng, 3), 0.5))
 
 
+@pytest.mark.parametrize(
+    "kind, n, seed",
+    [
+        ("peanut", 3, 41),
+        ("peanut", 5, 42),
+        ("odf", 3, 43),
+        ("bingham", 3, 44),
+        ("bingham", 5, 45),
+    ],
+)
+def test_quadratic_form_densities_match_pointwise_formula(kind, n, seed):
+    rng = rng_for(seed)
+    points = oracle.uniform_sphere(n, 200, seed)
+    delta = 0.4
+    if kind == "peanut":
+        A = random_spd(rng, n, asymmetric=True)
+        assert np.max(np.abs(A - A.T)) > 1e-3
+        dist = d.peanut(A)
+        area = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+        c = n / (area * np.trace(A))
+        expected = [c * (p @ A @ p) for p in points]
+    else:
+        A = random_spd(rng, n)
+        A_inv = np.linalg.inv(A)
+        det = np.linalg.det(A)
+        if kind == "odf":
+            dist = d.odf(A)
+            expected = [
+                (p @ A_inv @ p) ** -1.5 / (4.0 * math.pi * math.sqrt(det))
+                for p in points
+            ]
+        else:
+            dist = d.bingham(A, delta)
+            const = (4.0 * math.pi * delta) ** -1.5 / math.sqrt(det) if n == 3 else 1.0
+            expected = [const * math.exp(-(p @ A_inv @ p) / (4.0 * delta)) for p in points]
+    np.testing.assert_allclose(d.density_many(dist, points), expected, rtol=1e-13, atol=0)
+
+
 def test_normalization_by_quadrature():
     rng = rng_for(23)
     for n in (2, 3):

@@ -37,6 +37,8 @@ def test_mc_spec_validation():
         oracle.McSpec(3, 10_000, None)
     with pytest.raises(ValidationError):
         oracle.McSpec(1, 10_000, 1)
+    with pytest.raises(ValidationError):
+        oracle.McSpec(3, 20_000.5, 1)
 
 
 def test_quad_dimension_mismatch():
@@ -131,6 +133,50 @@ def test_mc_seed_determinism():
     assert a.provenance == b.provenance
     c = oracle.mc_moments(dist, oracle.McSpec(3, 20_000, 78))
     assert not np.array_equal(a.second_moment, c.second_moment)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("kind", ["vmf", "peanut", "bingham"])
+def test_mc_moments_match_written_out_estimator(kind, n):
+    # 70,000 samples span a full block and a partial one
+    samples = 70_000
+    assert samples > oracle.BLOCK_SIZE
+    seed = 300 + n
+    rng = rng_for(seed)
+    if kind == "vmf":
+        dist = d.vmf(random_unit(rng, n), 2.5)
+    elif kind == "peanut":
+        A = random_spd(rng, n, asymmetric=True)
+        assert np.max(np.abs(A - A.T)) > 1e-3
+        dist = d.peanut(A)
+    else:
+        dist = d.bingham(random_spd(rng, n), 0.5)
+    report = oracle.mc_moments(dist, oracle.McSpec(n, samples, seed))
+
+    points = oracle.uniform_sphere(n, samples, seed)
+    area = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+    f = area * d.density_many(dist, points)
+    g1 = f[:, None] * points
+    g2 = f[:, None, None] * points[:, :, None] * points[:, None, :]
+    mean = g1.sum(axis=0) / samples
+    second = g2.sum(axis=0) / samples
+    mean_se = g1.std(axis=0, ddof=1) / math.sqrt(samples)
+    second_se = g2.std(axis=0, ddof=1) / math.sqrt(samples)
+    covariance_se = np.sqrt(
+        second_se**2
+        + (mean[:, None] * mean_se[None, :]) ** 2
+        + (mean_se[:, None] * mean[None, :]) ** 2
+    )
+
+    assert report.provenance["mass"] == pytest.approx(f.mean(), rel=1e-12)
+    assert report.provenance["mass_se"] == pytest.approx(
+        f.std(ddof=1) / math.sqrt(samples), rel=1e-12
+    )
+    np.testing.assert_allclose(report.mean, mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.second_moment, second, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.mean_se, mean_se, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.second_moment_se, second_se, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.covariance_se, covariance_se, rtol=1e-12, atol=0)
 
 
 def test_mc_estimator_unbiased_over_seeds():
@@ -258,6 +304,14 @@ def test_sampler_input_validation():
             oracle.sample_vmf(bad_k, [1.0, 0.0, 0.0], 10, 1)
     with pytest.raises(ValidationError):
         oracle.sample_peanut(np.diag([1.0, -1.0]), 100, 0)
+    for bad_count in (0, -3, -5, 2.5, True, None, "10"):
+        with pytest.raises(ValidationError, match="count"):
+            oracle.uniform_sphere(3, bad_count, 0)
+        with pytest.raises(ValidationError, match="count"):
+            oracle.sample_vmf(2.0, [1.0, 0.0, 0.0], bad_count, 1)
+        with pytest.raises(ValidationError, match="count"):
+            oracle.sample_peanut(np.eye(3), bad_count, 1)
+    assert oracle.uniform_sphere(3, np.int64(5), 0).shape == (5, 3)
 
 
 # ---------------------------------------------------------------------------
