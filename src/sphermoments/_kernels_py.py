@@ -1,10 +1,14 @@
-"""Scalar kernels: gamma and modified Bessel machinery.
+"""Kernels: gamma and modified Bessel machinery.
 
 ``specfun`` is the public front end; callers are expected to have
 validated their inputs (finite, in domain) before reaching this layer.
+The scalar kernels take floats; ``bessel_ratio_array`` takes a 1-D array
+and reproduces the scalar ``bessel_ratio`` bit for bit.
 """
 
 import math
+
+import numpy as np
 
 from .errors import ConvergenceError
 
@@ -163,3 +167,79 @@ def bessel_ratio(p, x):
     else:
         r = _ratio_lentz(p, x)
     return r if r < 1.0 else _ONE_BELOW
+
+
+# ---------------------------------------------------------------------------
+# array kernels: each element takes the scalar kernel's branch and the same
+# floating-point operations in the same order, so results are bit-identical
+
+
+def _bessel_asymptotic_scaled_array(p, x):
+    """``_bessel_asymptotic_scaled`` elementwise over a 1-D array."""
+    mu = 4.0 * p * p
+    acc = np.ones(x.shape)
+    live = np.arange(x.size)  # elements still summing
+    term = np.ones(x.shape)
+    xs = x
+    for m in range(1, 1000):
+        if not live.size:
+            break
+        nxt = term * (((2 * m - 1) ** 2 - mu) / (8.0 * xs * m))
+        go = ~(np.abs(nxt) >= np.abs(term))
+        live, term, xs = live[go], nxt[go], xs[go]
+        acc[live] += term
+        go = ~(np.abs(term) <= np.abs(acc[live]) * SERIES_RTOL)
+        live, term, xs = live[go], term[go], xs[go]
+    return acc / np.sqrt(2.0 * math.pi * x)
+
+
+def _ratio_lentz_array(p, x):
+    """``_ratio_lentz`` elementwise over a 1-D array."""
+    tiny = 1e-300
+    out = np.empty(x.shape)
+    live = np.arange(x.size)  # elements not yet converged
+    f = np.full(x.shape, tiny)
+    c = f.copy()
+    d = np.zeros(x.shape)
+    two_over_x = 2.0 / x
+    for j in range(1, RATIO_MAX_ITER + 1):
+        if not live.size:
+            return out
+        b = two_over_x * (p + j - 1.0)
+        d = b + d
+        d[d == 0.0] = tiny
+        c = b + 1.0 / c
+        c[c == 0.0] = tiny
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[live[done]] = f[done]
+            go = ~done
+            live, f, c, d, two_over_x = live[go], f[go], c[go], d[go], two_over_x[go]
+    if not live.size:
+        return out
+    raise ConvergenceError(
+        f"Bessel ratio continued fraction stalled (p={p}, x={x[live[0]]})"
+    )
+
+
+def bessel_ratio_array(p, x):
+    """``bessel_ratio`` elementwise over a 1-D array of x >= 0."""
+    out = np.zeros(x.shape)
+    live = x != 0.0
+    if p == 0.5:
+        # np.tanh differs from libm's tanh in the last bit for about 1 in 5 inputs
+        out[live] = [math.tanh(v) for v in x[live].tolist()]
+    else:
+        far = x > series_cutoff(p)
+        xf = x[far]
+        near = live & ~far
+        # IEEE overflow stays silent, as in the scalar kernels
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out[far] = _bessel_asymptotic_scaled_array(p, xf) / _bessel_asymptotic_scaled_array(
+                p - 1.0, xf
+            )
+            out[near] = _ratio_lentz_array(p, x[near])
+    return np.where(out < 1.0, out, _ONE_BELOW)

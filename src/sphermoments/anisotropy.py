@@ -7,6 +7,11 @@ eigenvalues read off from those of A) and for the bimodal vMF (tensor
 alpha(k) I + beta(k) u u^T), and a generic route that builds the tensor,
 eigensolves it and applies the index definitions.  Agreement of the two
 is part of the test suite.
+
+Both routes also take a batch: a 1-D array of concentrations k, an
+(m, n, n) stack of matrices A, or a distribution whose k is such an array.
+The report then holds one row per entry (see ``AnisotropyReport``), each
+equal to the report of that entry alone.
 """
 
 import math
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from ._linalg import jacobi_eigh
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -25,12 +29,13 @@ from .errors import (
 )
 from .moments import (
     SMALL_K,
-    _check_concentration,
+    _check_concentrations,
     _check_direction,
     bimodal_vmf_moments,
     peanut_moments,
     vmf_covariance,
 )
+from .reports import _freeze
 
 __all__ = [
     "FA2_MAX",
@@ -94,22 +99,28 @@ class DiffusionTensor:
 @dataclass(frozen=True, eq=False)
 class AnisotropyReport:
     """Eigenvalues (descending), FA (None outside n in {2,3}), ratio and
-    the applicable upper bounds with their satisfied/violated flags."""
+    the applicable upper bounds with their satisfied/violated flags.
+
+    A batch report has a leading batch axis: eigenvalues (m, n), and fa,
+    ratio and each bound flag arrays of length m; bounds are constants.
+    """
 
     eigenvalues: np.ndarray
-    fa: float | None
-    ratio: float
+    fa: float | np.ndarray | None
+    ratio: float | np.ndarray
     bounds: dict
     bound_flags: dict
 
     def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=float)
-        lam.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvalues", _freeze(self.eigenvalues))
+        for name in ("fa", "ratio"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, _freeze(value))
 
     @property
     def bounds_satisfied(self):
-        return all(self.bound_flags.values())
+        return all(np.all(flag) for flag in self.bound_flags.values())
 
 
 def diffusion_tensor(dist, params):
@@ -129,31 +140,31 @@ def diffusion_tensor(dist, params):
 
 
 def symmetric_eigen(M):
-    """Eigen-decomposition of a symmetric matrix, self-contained.
+    """Eigen-decomposition of a symmetric matrix or of a stack of them.
 
-    Cyclic Jacobi rotations; eigenvalues returned in descending order,
-    each eigenvector's sign fixed so its first component above 1e-12 in
-    magnitude is positive.  Returns ``(eigenvalues, eigenvectors)`` with
-    eigenvectors in columns.
+    ``M`` is (n, n) or (m, n, n).  LAPACK's symmetric solver
+    (``np.linalg.eigh``) runs on the symmetrized input; eigenvalues are
+    returned in descending order, each eigenvector's sign fixed so its
+    first component above 1e-12 in magnitude is positive.  Returns
+    ``(eigenvalues, eigenvectors)`` with eigenvectors in columns, both with
+    M's leading batch axis if it has one.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("matrix must be square")
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValidationError("matrix must be square (or a stack of square matrices)")
     if not np.all(np.isfinite(M)):
         raise ValidationError("matrix must be finite")
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.T)) > _SYMMETRY_TOL * scale:
+    Mt = np.swapaxes(M, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
+    if np.any(np.max(np.abs(M - Mt), axis=(-2, -1)) > _SYMMETRY_TOL * scale):
         raise ValidationError("matrix is not symmetric")
-    w, V = jacobi_eigh(0.5 * (M + M.T))
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    for i in range(V.shape[1]):
-        col = V[:, i]
-        nonzero = np.nonzero(np.abs(col) > _SIGN_TOL)[0]
-        if nonzero.size and col[nonzero[0]] < 0.0:
-            V[:, i] = -col
-    return w, V
+    w, V = np.linalg.eigh(0.5 * (M + Mt))
+    w = w[..., ::-1]
+    V = V[..., ::-1]
+    # eigenvectors are unit vectors, so each has an entry above _SIGN_TOL
+    first = np.argmax(np.abs(V) > _SIGN_TOL, axis=-2)
+    lead = np.take_along_axis(V, first[..., None, :], axis=-2)
+    return w, np.where(lead < 0.0, -V, V)
 
 
 def fractional_anisotropy(eigenvalues):
@@ -161,29 +172,29 @@ def fractional_anisotropy(eigenvalues):
 
     0 for full radial symmetry, 1 for alignment to a single direction;
     values are clamped to [0, 1] only against 1e-14 rounding excursions.
+    An (m, n) array of eigenvalue rows gives an array of m FA values.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size not in (2, 3):
+    if lam.ndim not in (1, 2) or lam.shape[-1] not in (2, 3):
         raise UnsupportedError(
             "fractional anisotropy is defined for 2 or 3 eigenvalues"
         )
     if not np.all(np.isfinite(lam)):
         raise DomainError("eigenvalues must be finite")
-    top = float(np.max(np.abs(lam)))
-    if top == 0.0:
+    top = np.max(np.abs(lam), axis=-1)
+    if np.any(top == 0.0):
         raise DegenerateTensorError("all eigenvalues are zero")
-    if lam.min() < -1e-10 * top:
+    if np.any(lam.min(axis=-1) < -1e-10 * top):
         raise DomainError("eigenvalues must be nonnegative")
     lam = np.clip(lam, 0.0, None)
-    spread = np.sum((lam - lam.mean()) ** 2)
-    sumsq = np.sum(lam * lam)
-    if lam.size == 2:
-        fa = math.sqrt(2.0 * spread / sumsq)
+    spread = np.sum((lam - lam.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    sumsq = np.sum(lam * lam, axis=-1)
+    if lam.shape[-1] == 2:
+        fa = np.sqrt(2.0 * spread / sumsq)
     else:
-        fa = math.sqrt(3.0 * spread / (2.0 * sumsq))
-    if 1.0 < fa <= 1.0 + 1e-14:
-        fa = 1.0
-    return fa
+        fa = np.sqrt(3.0 * spread / (2.0 * sumsq))
+    fa = np.where((fa > 1.0) & (fa <= 1.0 + 1e-14), 1.0, fa)
+    return float(fa) if lam.ndim == 1 else fa
 
 
 def anisotropy_ratio(eigenvalues):
@@ -209,13 +220,27 @@ def _peanut_bounds(n):
 
 
 def _flags(fa, ratio, bounds):
+    # a batch report has one flag per row for every bound, FA-less rows too
+    unbounded = np.ones(ratio.shape, dtype=bool) if isinstance(ratio, np.ndarray) else True
     flags = {}
     for name, limit in bounds.items():
         if name.startswith("fa"):
-            flags[name] = fa is None or fa <= limit + BOUND_SLACK
+            flags[name] = unbounded if fa is None else fa <= limit + BOUND_SLACK
         else:
-            flags[name] = 1.0 - BOUND_SLACK <= ratio <= limit + BOUND_SLACK
+            flags[name] = (1.0 - BOUND_SLACK <= ratio) & (ratio <= limit + BOUND_SLACK)
     return flags
+
+
+def _hypot(x, y):
+    """math.hypot elementwise; np.hypot differs from it in the last bit."""
+    pairs = zip(np.ravel(x).tolist(), np.ravel(y).tolist())
+    return np.array([math.hypot(a, b) for a, b in pairs]).reshape(np.shape(x))
+
+
+def _square(x):
+    """x ** 2 as Python computes it for a float (C pow); np.square and
+    ``** 2`` on arrays differ from it in the last bit."""
+    return np.float_power(x, 2.0)
 
 
 def peanut_closed_form_report(A, params):
@@ -223,34 +248,34 @@ def peanut_closed_form_report(A, params):
 
     Demands symmetric positive-definite A (symmetrize upstream if an
     asymmetric matrix is intended); the tensor eigenvalues are
-    (s^2/(mu (n+2))) (1 + 2 lhat_i / tr A).
+    (s^2/(mu (n+2))) (1 + 2 lhat_i / tr A).  An (m, n, n) stack of
+    matrices gives a batch report.
     """
     A = np.asarray(A, dtype=float)
     lam_hat, _ = symmetric_eigen(A)  # raises on asymmetric input
-    if lam_hat.min() <= 0.0:
+    if np.any(lam_hat[..., -1] <= 0.0):
         raise ValidationError("A not positive definite")
-    n = A.shape[0]
-    trace = float(np.trace(A))
+    n = A.shape[-1]
+    trace = np.trace(A, axis1=-2, axis2=-1)[..., None]
     eigenvalues = params.factor / (n + 2) * (1.0 + 2.0 * lam_hat / trace)
+    lam = np.moveaxis(lam_hat, -1, 0)  # lam[i]: the i-th eigenvalue of each A
+    shifted = np.moveaxis(trace + 2.0 * lam_hat, -1, 0)  # tr A + 2 lhat_i
     if n == 2:
-        diff = abs(lam_hat[0] - lam_hat[1])
-        fa = 2.0 * diff / math.hypot(trace + 2.0 * lam_hat[0], trace + 2.0 * lam_hat[1])
+        fa = 2.0 * np.abs(lam[0] - lam[1]) / _hypot(shifted[0], shifted[1])
     elif n == 3:
-        l1, l2, l3 = lam_hat
         num = 2.0 * (
-            (2.0 * l1 - l2 - l3) ** 2
-            + (2.0 * l2 - l1 - l3) ** 2
-            + (2.0 * l3 - l1 - l2) ** 2
+            _square(2.0 * lam[0] - lam[1] - lam[2])
+            + _square(2.0 * lam[1] - lam[0] - lam[2])
+            + _square(2.0 * lam[2] - lam[0] - lam[1])
         )
-        den = 3.0 * (
-            (trace + 2.0 * l1) ** 2
-            + (trace + 2.0 * l2) ** 2
-            + (trace + 2.0 * l3) ** 2
-        )
-        fa = math.sqrt(num / den)
+        den = 3.0 * (_square(shifted[0]) + _square(shifted[1]) + _square(shifted[2]))
+        fa = np.sqrt(num / den)
     else:
         fa = None
-    ratio = (trace + 2.0 * lam_hat.max()) / (trace + 2.0 * lam_hat.min())
+    ratio = shifted[0] / shifted[-1]
+    if A.ndim == 2:
+        fa = None if fa is None else float(fa)
+        ratio = float(ratio)
     bounds = _peanut_bounds(n)
     return AnisotropyReport(eigenvalues, fa, ratio, bounds, _flags(fa, ratio, bounds))
 
@@ -260,11 +285,14 @@ def vmf_closed_form_report(k, u, params):
 
     alpha = (s^2/mu) I_{n/2}(k)/(k I_{n/2-1}(k)) with limit s^2/(mu n)
     at k = 0; beta = (s^2/mu) I_{n/2+1}(k)/I_{n/2-1}(k) with limit 0.
-    The ratio is reported as +inf if alpha underflows to zero.
+    The ratio is reported as +inf if alpha underflows to zero.  A 1-D
+    array of concentrations gives a batch report.
     """
     u = _check_direction(u)
-    k = _check_concentration(k)
+    k = _check_concentrations(k)
     n = u.size
+    if isinstance(k, np.ndarray):
+        return _vmf_closed_form_batch(k, n, params)
     if k < SMALL_K:
         alpha = params.factor / n
         beta = 0.0
@@ -287,20 +315,50 @@ def vmf_closed_form_report(k, u, params):
     return AnisotropyReport(eigenvalues, fa, ratio, bounds, _flags(fa, ratio, bounds))
 
 
+def _vmf_closed_form_batch(k, n, params):
+    """``vmf_closed_form_report`` over a 1-D k: the scalar formulas, row by row."""
+    big = k >= SMALL_K
+    kb = k[big]
+    alpha = np.full(k.shape, params.factor / n)
+    beta = np.zeros(k.shape)
+    r = specfun.bessel_ratio(0.5 * n, kb)
+    alpha[big] = params.factor * r / kb
+    beta[big] = params.factor * specfun.bessel_ratio(0.5 * n + 1.0, kb) * r
+    eigenvalues = np.repeat(alpha[:, None], n, axis=1)
+    eigenvalues[:, 0] = alpha + beta
+    # alpha = beta = 0 only by underflow; the scalar route's 0/0 guards follow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n == 2:
+            fa = np.where(beta == 0.0, 0.0, beta / _hypot(alpha + beta, alpha))
+        elif n == 3:
+            fa = np.where(
+                beta == 0.0,
+                0.0,
+                beta / np.sqrt(_square(alpha + beta) + 2.0 * alpha * alpha),
+            )
+        else:
+            fa = None
+        ratio = np.where(alpha == 0.0, math.inf, 1.0 + beta / alpha)
+    bounds = {"fa_max": 1.0}
+    return AnisotropyReport(eigenvalues, fa, ratio, bounds, _flags(fa, ratio, bounds))
+
+
 def anisotropy_report(dist, params):
     """Generic route: diffusion tensor -> eigensolve -> FA and ratio.
 
     FA is reported as None for n >= 4, where no definition is adopted.
+    A vmf distribution whose k is a 1-D array gives a batch report.
     """
     tensor = diffusion_tensor(dist, params)
     w, _ = symmetric_eigen(tensor.D)
     fa = fractional_anisotropy(w) if dist.n in (2, 3) else None
-    smallest = float(w.min())
-    if smallest > 0.0:
-        ratio = float(w.max()) / smallest
-    elif float(w.max()) > 0.0:
-        ratio = math.inf
-    else:
+    largest = w[..., 0]
+    smallest = w[..., -1]
+    if np.any(largest <= 0.0):
         raise DegenerateTensorError("diffusion tensor is zero")
+    with np.errstate(divide="ignore"):
+        ratio = np.where(smallest > 0.0, largest / smallest, math.inf)
+    if w.ndim == 1:
+        ratio = float(ratio)
     bounds = _peanut_bounds(dist.n) if dist.kind == "peanut" else {"fa_max": 1.0}
     return AnisotropyReport(w, fa, ratio, bounds, _flags(fa, ratio, bounds))

@@ -151,7 +151,7 @@ def _anisotropy_report(dist, params):
     if dist.kind == "bimodal_vmf":
         return anisotropy.vmf_closed_form_report(dist.k, dist.u, params)
     if dist.kind == "peanut":
-        sym_gap = float(np.max(np.abs(dist.A - dist.A.T)))
+        sym_gap = float(np.max(np.abs(dist.A - np.swapaxes(dist.A, -1, -2))))
         if sym_gap <= 1e-10 * max(1.0, float(np.max(np.abs(dist.A)))):
             return anisotropy.peanut_closed_form_report(dist.A, params)
         # asymmetric input: the generic route symmetrizes via the
@@ -214,58 +214,61 @@ def cmd_anisotropy(args):
 
 
 def _parse_grid(args):
+    """The sweep grid as a 1-D float array: finite and strictly increasing."""
     if args.grid and args.grid_log:
         raise ValueError("pass either --grid or --grid-log, not both")
     if args.grid:
-        values = [float(v) for v in args.grid.split(",") if v.strip()]
+        values = np.array([float(v) for v in args.grid.split(",") if v.strip()])
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"--grid values must be finite, got {args.grid!r}")
     elif args.grid_log:
         lo, hi, count = args.grid_log
-        if lo <= 0 or hi <= lo or int(count) < 1:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"--grid-log MIN and MAX must be finite, got {lo} and {hi}")
+        if not math.isfinite(count) or count != int(count):
+            raise ValueError(f"--grid-log COUNT must be an integer, got {count}")
+        count = int(count)
+        if lo <= 0 or hi <= lo or count < 1:
             raise ValueError("--grid-log expects 0 < MIN < MAX and COUNT >= 1")
-        values = (
-            [lo]
-            if int(count) == 1
-            else list(np.geomspace(lo, hi, int(count)))
-        )
+        values = np.array([lo]) if count == 1 else np.geomspace(lo, hi, count)
     else:
         raise ValueError("a grid is required (--grid or --grid-log)")
-    if not values:
+    if not values.size:
         raise ValueError("grid must be nonempty")
-    if any(b <= a for a, b in zip(values, values[1:])):
+    if np.any(values[1:] <= values[:-1]):
         raise ValueError("grid values must be strictly increasing")
     return values
 
 
 def _sweep_rows(args, dist, params, values, outputs):
-    rows = []
-    for value in values:
-        if args.parameter == "k":
-            point = distributions.SphericalDistribution(
-                dist.kind, dist.n, u=dist.u, k=value
-            )
-        else:
-            a = np.eye(dist.n)
-            a[0, 0] = value
-            point = distributions.SphericalDistribution(dist.kind, dist.n, A=a)
-        report = _anisotropy_report(point, params)
-        row = {"parameter": args.parameter, "value": value}
-        for output in outputs:
-            if output == "fa":
-                row["fa"] = report.fa
-            elif output == "ratio":
-                row["ratio"] = report.ratio
-            elif output == "eigenvalues":
-                for i, lam in enumerate(report.eigenvalues, start=1):
-                    row[f"eigenvalue_{i}"] = float(lam)
-            elif output == "mean_norm":
-                if point.kind == "vmf":
-                    row["mean_norm"] = float(
-                        np.linalg.norm(moments.vmf_mean(point.k, point.u))
-                    )
-                else:
-                    row["mean_norm"] = 0.0
-        rows.append(row)
-    return rows
+    """One row per grid value, from one batch report over the whole grid."""
+    if args.parameter == "k":
+        point = distributions.SphericalDistribution(dist.kind, dist.n, u=dist.u, k=values)
+    else:
+        a = np.tile(np.eye(dist.n), (values.size, 1, 1))
+        a[:, 0, 0] = values
+        point = distributions.SphericalDistribution(dist.kind, dist.n, A=a)
+    report = _anisotropy_report(point, params)
+    columns = {}
+    for output in outputs:
+        if output == "fa":
+            columns["fa"] = [None] * values.size if report.fa is None else report.fa.tolist()
+        elif output == "ratio":
+            columns["ratio"] = report.ratio.tolist()
+        elif output == "eigenvalues":
+            for i, lam in enumerate(report.eigenvalues.T.tolist(), start=1):
+                columns[f"eigenvalue_{i}"] = lam
+        elif output == "mean_norm":
+            if point.kind == "vmf":
+                mean = moments.vmf_mean(point.k, point.u)
+                columns["mean_norm"] = np.linalg.norm(mean, axis=1).tolist()
+            else:
+                columns["mean_norm"] = [0.0] * values.size
+    names = list(columns)
+    return [
+        {"parameter": args.parameter, "value": value, **dict(zip(names, cells))}
+        for value, *cells in zip(values.tolist(), *columns.values())
+    ]
 
 
 def cmd_sweep(args):
@@ -279,12 +282,12 @@ def cmd_sweep(args):
     if args.parameter == "k":
         if dist.kind not in ("vmf", "bimodal_vmf"):
             raise ValueError("k sweeps require a vmf or bimodal_vmf distribution")
-        if any(v < 0 for v in values):
+        if np.any(values < 0):
             raise ValueError("k grid values must be >= 0")
     else:
         if dist.kind != "peanut":
             raise ValueError("eigen_ratio sweeps require a peanut distribution")
-        if any(v <= 0 for v in values):
+        if np.any(values <= 0):
             raise ValueError("eigen_ratio grid values must be > 0")
     rows = _sweep_rows(args, dist, params, values, outputs)
     if args.format == "json":

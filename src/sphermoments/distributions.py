@@ -62,6 +62,12 @@ class SphericalDistribution:
     symmetric part) to peanut/odf/bingham; ``delta`` (diffusion time > 0)
     to bingham only.  Instances are immutable; use :func:`validate` for a
     total check of the invariants.
+
+    A 1-D array ``k`` (kept as a read-only copy) makes a batch point: one
+    vmf or bimodal vMF distribution per entry, which the closed-form
+    moment and anisotropy routes evaluate together.  Densities, the
+    factories and JSON take a single number; :func:`validate` reports a
+    batch point as a violation.
     """
 
     kind: str
@@ -76,7 +82,9 @@ class SphericalDistribution:
             object.__setattr__(self, "u", _readonly_array(self.u))
         if self.A is not None:
             object.__setattr__(self, "A", _readonly_array(self.A))
-        if self.k is not None:
+        if isinstance(self.k, np.ndarray) and self.k.ndim:
+            object.__setattr__(self, "k", _readonly_array(self.k))
+        elif self.k is not None:
             object.__setattr__(self, "k", float(self.k))
         if self.delta is not None:
             object.__setattr__(self, "delta", float(self.delta))
@@ -145,7 +153,9 @@ def validate(dist):
             out.append("u must be finite")
         elif abs(np.linalg.norm(dist.u) - 1.0) > UNIT_NORM_TOL:
             out.append("u must be a unit vector")
-        if not math.isfinite(dist.k):
+        if isinstance(dist.k, np.ndarray):
+            out.append("k must be a single number, not an array")
+        elif not math.isfinite(dist.k):
             out.append("k must be finite")
         elif dist.k < 0.0:
             out.append("k must be >= 0")

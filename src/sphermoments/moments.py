@@ -50,27 +50,59 @@ def _check_concentration(k):
     return k
 
 
+def _check_concentrations(k):
+    """A number as ``_check_concentration`` takes it, or a 1-D array of them."""
+    if not (isinstance(k, np.ndarray) and k.ndim):
+        return _check_concentration(k)
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 1:
+        raise DomainError(f"concentrations must be a 1-D array, got shape {k.shape}")
+    if not (np.all(np.isfinite(k)) and np.all(k >= 0.0)):
+        raise DomainError("concentrations must be finite and >= 0")
+    return k
+
+
 def _ratios(n, k):
-    """(I_{n/2}/I_{n/2-1}, I_{n/2+1}/I_{n/2-1}) at concentration k."""
+    """(I_{n/2}/I_{n/2-1}, I_{n/2+1}/I_{n/2-1}) at concentration k (or a 1-D array)."""
     r = specfun.bessel_ratio(0.5 * n, k)
     r2 = specfun.bessel_ratio(0.5 * n + 1.0, k) * r
     return r, r2
 
 
 def vmf_mean(k, u):
-    """Mean vector of the vMF distribution: (I_{n/2}/I_{n/2-1})(k) u."""
+    """Mean vector of the vMF distribution: (I_{n/2}/I_{n/2-1})(k) u.
+
+    A 1-D array of m concentrations gives the (m, n) array of means.
+    """
     u = _check_direction(u)
-    k = _check_concentration(k)
+    k = _check_concentrations(k)
+    if isinstance(k, np.ndarray):
+        big = k >= SMALL_K
+        r = np.zeros(k.shape)
+        r[big] = specfun.bessel_ratio(0.5 * u.size, k[big])
+        return r[:, None] * u
     if k < SMALL_K:
         return np.zeros(u.size)
     return specfun.bessel_ratio(0.5 * u.size, k) * u
 
 
 def vmf_covariance(k, u):
-    """Variance-covariance matrix of the vMF distribution."""
+    """Variance-covariance matrix of the vMF distribution.
+
+    A 1-D array of m concentrations gives the (m, n, n) stack of matrices.
+    """
     u = _check_direction(u)
-    k = _check_concentration(k)
+    k = _check_concentrations(k)
     n = u.size
+    if isinstance(k, np.ndarray):
+        # below SMALL_K the limits r/k = 1/n and r = r2 = 0 give I/n
+        big = k >= SMALL_K
+        alpha = np.full(k.shape, 1.0 / n)
+        r = np.zeros(k.shape)
+        r2 = np.zeros(k.shape)
+        r[big], r2[big] = _ratios(n, k[big])
+        alpha[big] = r[big] / k[big]
+        return alpha[:, None, None] * np.eye(n) + (r2 - r * r)[:, None, None] * np.outer(u, u)
     if k < SMALL_K:
         return np.eye(n) / n
     r, r2 = _ratios(n, k)

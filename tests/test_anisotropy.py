@@ -120,6 +120,19 @@ def test_eigen_sign_convention_and_determinism():
     for i in range(4):
         first = v1[np.abs(v1[:, i]) > 1e-12, i][0]
         assert first > 0
+    # a stack gives each matrix's own decomposition, with the same conventions
+    stack = np.array([m, random_spd(rng, 4), np.diag([1.0, 3.0, 2.0, 3.0]), -m])
+    ws, vs = an.symmetric_eigen(stack)
+    assert ws.shape == (4, 4) and vs.shape == (4, 4, 4)
+    for j in range(len(stack)):
+        w, v = an.symmetric_eigen(stack[j])
+        np.testing.assert_allclose(ws[j], w, rtol=1e-14, atol=1e-14)
+        assert np.all(np.diff(ws[j]) <= 0.0)
+        for i in range(4):
+            assert vs[j][np.abs(vs[j][:, i]) > 1e-12, i][0] > 0
+            residual = stack[j] @ vs[j][:, i] - ws[j][i] * vs[j][:, i]
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(stack[j])
+    assert np.array_equal(ws[0], w1) and np.array_equal(vs[0], v1)
 
 
 def test_eigen_rejects_asymmetric_and_malformed():
@@ -223,6 +236,37 @@ def test_peanut_report_rejects_asymmetric_and_indefinite():
         an.peanut_closed_form_report(np.array([[1.0, 0.5], [0.0, 1.0]]), P1)
     with pytest.raises(ValidationError):
         an.peanut_closed_form_report(np.diag([1.0, -1.0]), P1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batch_reports_equal_per_point_reports(n):
+    # thousands of points, so a batch formula that rounds differently from the
+    # scalar one (np.hypot for math.hypot, x*x for x**2) shows in some row
+    params = an.MotilityParams(1.3, 0.7)
+    u = random_unit(rng_for(n), n)
+    k = np.concatenate([[0.0, 1e-9, 1e-8], np.geomspace(1e-4, 1e4, 4000)])
+    a = np.tile(np.eye(n), (600, 1, 1))
+    a[:, 0, 0] = np.geomspace(1e-2, 1e4, 600)
+    a[:, -1, -1] = 0.5
+    cases = [
+        (an.vmf_closed_form_report(k, u, params),
+         [an.vmf_closed_form_report(ki, u, params) for ki in k.tolist()]),
+        (an.anisotropy_report(d.SphericalDistribution("vmf", n, u=u, k=k[::10]), params),
+         [an.anisotropy_report(d.vmf(u, ki), params) for ki in k[::10].tolist()]),
+        (an.peanut_closed_form_report(a, params),
+         [an.peanut_closed_form_report(ai, params) for ai in a]),
+    ]
+    for batch, singles in cases:
+        assert batch.eigenvalues.shape == (len(singles), n)
+        assert np.array_equal(batch.eigenvalues, [r.eigenvalues for r in singles])
+        assert np.array_equal(batch.ratio, [r.ratio for r in singles])
+        if n == 5:
+            assert batch.fa is None and all(r.fa is None for r in singles)
+        else:
+            assert np.array_equal(batch.fa, [r.fa for r in singles])
+        for name, flags in batch.bound_flags.items():
+            assert np.array_equal(flags, [r.bound_flags[name] for r in singles])
+        assert batch.bounds_satisfied
 
 
 def test_vmf_report_rejects_bad_direction_and_concentration():

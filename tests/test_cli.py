@@ -238,6 +238,64 @@ def test_sweep_single_point_matches_anisotropy(capsys):
     assert float(cells[2]) == report["fa"]
     assert float(cells[3]) == report["ratio"]
     assert [float(c) for c in cells[4:]] == report["eigenvalues"]
+    # every row of a multi-point sweep is the single-point report, bit for bit
+    for n in (2, 3, 5):
+        payload = {"kind": "bimodal_vmf", "n": n, "u": _unit(n), "k": 1.0}
+        rows, reports = _sweep_and_single_points(capsys, payload, "k", SWEEP_K_GRID)
+        for row, report in zip(rows, reports):
+            assert row["fa"] == report["fa"]
+            assert row["ratio"] == report["ratio"]
+            assert [row[f"eigenvalue_{i}"] for i in range(1, n + 1)] == report["eigenvalues"]
+
+
+# k = 0, both sides of SMALL_K, both sides of the Bessel series cutoff (30), large k
+SWEEP_K_GRID = [0.0, 1e-9, 1e-8, 1e-3, 0.5, 2.0, 29.5, 30.0, 30.5, 700.0, 1e4]
+
+
+def _unit(n):
+    u = np.arange(1.0, n + 1.0)
+    return (u / np.linalg.norm(u)).tolist()
+
+
+def _sweep_and_single_points(capsys, payload, parameter, grid):
+    """(JSON sweep rows, single-point anisotropy reports) over the same grid."""
+    args = ("--s", "1.3", "--mu", "0.7")
+    code, out = run_cli(
+        capsys, "sweep", "--parameter", parameter, "--dist-json", json.dumps(payload),
+        "--grid", ",".join(repr(v) for v in grid), "--outputs", "fa,ratio,eigenvalues",
+        "--format", "json", *args,
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["value"] for row in rows] == grid
+    reports = []
+    for value in grid:
+        if parameter == "k":
+            point = dict(payload, k=value)
+        else:
+            a = np.eye(payload["n"])
+            a[0, 0] = value
+            point = dict(payload, A=a.tolist())
+        code, out = run_cli(capsys, "anisotropy", "--dist-json", json.dumps(point), *args)
+        assert code == 0
+        reports.append(json.loads(out))
+    return rows, reports
+
+
+@pytest.mark.parametrize("kind", ["vmf", "peanut"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_rows_match_anisotropy_generic_and_peanut(capsys, kind, n):
+    if kind == "vmf":
+        payload = {"kind": "vmf", "n": n, "u": _unit(n), "k": 1.0}
+        rows, reports = _sweep_and_single_points(capsys, payload, "k", SWEEP_K_GRID)
+    else:
+        payload = {"kind": "peanut", "n": n, "A": np.eye(n).tolist()}
+        grid = [0.01, 0.5, 1.0, 1.5, 3.0, 100.0, 1e6]
+        rows, reports = _sweep_and_single_points(capsys, payload, "eigen_ratio", grid)
+    for row, report in zip(rows, reports):
+        got = [row["fa"], row["ratio"]] + [row[f"eigenvalue_{i}"] for i in range(1, n + 1)]
+        want = [report["fa"], report["ratio"]] + report["eigenvalues"]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_sweep_mean_norm_output(capsys):
@@ -279,6 +337,21 @@ def test_sweep_grid_validation(capsys):
         capsys, "sweep", "--parameter", "k", "--dist-json", BIMODAL3,
         "--grid", "1,2", "--outputs", "fa,banana",
     )[0] == 2
+    # non-finite values, non-finite ends and a fractional count, each named
+    for dist, grid, words in (
+        (PEANUT31, ("--grid", "1,inf"), "--grid values must be finite"),
+        (BIMODAL3, ("--grid", "1,nan,3"), "--grid values must be finite"),
+        (BIMODAL3, ("--grid=-inf,1",), "--grid values must be finite"),
+        (BIMODAL3, ("--grid-log", "1", "inf", "3"), "--grid-log MIN and MAX must be finite"),
+        (BIMODAL3, ("--grid-log", "nan", "2", "3"), "--grid-log MIN and MAX must be finite"),
+        (BIMODAL3, ("--grid-log", "1", "2", "2.7"), "--grid-log COUNT must be an integer"),
+        (BIMODAL3, ("--grid-log", "1", "2", "inf"), "--grid-log COUNT must be an integer"),
+        (BIMODAL3, ("--grid-log", "1", "2", "nan"), "--grid-log COUNT must be an integer"),
+    ):
+        parameter = "eigen_ratio" if dist == PEANUT31 else "k"
+        code, out = run_cli(capsys, "sweep", "--parameter", parameter, "--dist-json", dist, *grid)
+        assert code == 2
+        assert words in json.loads(out)["error"]
 
 
 def test_sweep_unwritable_path_is_io_error(capsys):

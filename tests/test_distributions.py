@@ -25,7 +25,8 @@ def test_surface_areas():
     assert d.sphere_surface_area(8) == pytest.approx(math.pi**4 / 3.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("bad", [1, 0, -2, 2.5])
+# 400: Gamma(200) overflows a double, where the area would once come out as 0.0
+@pytest.mark.parametrize("bad", [1, 0, -2, 2.5, 400])
 def test_surface_area_rejects_bad_dimension(bad):
     with pytest.raises(DomainError):
         d.sphere_surface_area(bad)
@@ -308,6 +309,11 @@ def test_json_rejects_missing_and_malformed():
         d.distribution_from_json([1, 2, 3])
     with pytest.raises(ValidationError):
         d.distribution_from_json({"kind": "vmf", "n": 2, "u": [[1], [0]], "k": 1})
+    # a k-grid is a batch point for the closed-form routes, never a JSON distribution
+    with pytest.raises(ValidationError):
+        d.distribution_from_json({"kind": "vmf", "n": 2, "u": [1, 0], "k": [1, 2]})
+    with pytest.raises(ValidationError):
+        d.vmf(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
 
 
 def test_distribution_parameters_are_immutable():

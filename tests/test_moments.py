@@ -81,6 +81,22 @@ def test_vmf_covariance_continuous_at_small_k_threshold():
     assert np.linalg.norm(mean) < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_vmf_mean_and_covariance_over_k_array_equal_per_k(n):
+    u = random_unit(rng_for(n), n)
+    k = np.array([0.0, 1e-9, 1e-8, 0.3, 5.0, 29.9, 31.0, 800.0, 1e4])
+    means = moments.vmf_mean(k, u)
+    covs = moments.vmf_covariance(k, u)
+    assert means.shape == (k.size, n) and covs.shape == (k.size, n, n)
+    for i, ki in enumerate(k.tolist()):
+        assert np.array_equal(means[i], moments.vmf_mean(ki, u))
+        assert np.array_equal(covs[i], moments.vmf_covariance(ki, u))
+    for bad in (np.array([1.0, -1.0]), np.array([1.0, math.nan]), np.array([math.inf]),
+                np.ones((2, 2))):
+        with pytest.raises(DomainError):
+            moments.vmf_covariance(bad, u)
+
+
 def test_vmf_covariance_against_quadrature():
     rng = rng_for(2)
     u = random_unit(rng, 3)

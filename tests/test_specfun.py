@@ -28,6 +28,12 @@ def test_gamma_against_high_precision_reference():
         assert specfun.gamma(float(x)) == pytest.approx(ref, rel=1e-13)
 
 
+def test_gamma_largest_finite_values():
+    # Gamma(171) = 170!, just below the overflow threshold at x ~ 171.62
+    assert specfun.gamma(171.0) == pytest.approx(float(math.factorial(170)), rel=1e-12)
+    assert math.isfinite(specfun.gamma(171.6))
+
+
 def test_gamma_small_arguments():
     for x in (0.05, 0.1, 0.25, 0.49):
         assert specfun.gamma(x) == pytest.approx(float(mp.gamma(x)), rel=1e-13)
@@ -39,7 +45,10 @@ def test_gamma_recurrence(x):
     assert specfun.gamma(x + 1.0) == pytest.approx(x * specfun.gamma(x), rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    # from 171.7 up, and for subnormal x, Gamma(x) overflows a double
+    "bad", [0.0, -1.0, math.nan, math.inf, -math.inf, 171.7, 172.0, 400.0, 1e6, 1e-320]
+)
 def test_gamma_rejects_out_of_domain(bad):
     with pytest.raises(DomainError):
         specfun.gamma(bad)
@@ -216,3 +225,27 @@ def test_ratio_monotone_property(p, x, step):
 def test_ratio_rejects_low_order():
     with pytest.raises(DomainError):
         specfun.bessel_ratio(0.3, 1.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.5, 5.0, 6.0])
+def test_ratio_array_is_bit_identical_to_scalar(p):
+    # every branch: x = 0, tanh (p = 1/2), Lentz up to series_cutoff(p), asymptotic above
+    cut = _kernels_py.series_cutoff(p)
+    x = np.concatenate([
+        [0.0, 1e-300, 1e-12, cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), 1e5],
+        np.geomspace(1e-4, 1e5, 400),
+        np.random.default_rng(int(2 * p)).uniform(0.5 * cut, 2.0 * cut, 200),
+    ])
+    got = specfun.bessel_ratio(p, x)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    want = np.array([specfun.bessel_ratio(p, float(v)) for v in x])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert specfun.bessel_ratio(p, x[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [
+    [1.0, math.nan], [2.0, -1.0], [1.0, math.inf], [-0.5], [[1.0, 2.0]],
+])
+def test_ratio_array_rejects_out_of_domain(bad):
+    with pytest.raises(DomainError):
+        specfun.bessel_ratio(1.5, np.array(bad))
