@@ -17,6 +17,10 @@ SERIES_RTOL = 1e-17
 UNSCALED_OVERFLOW_X = 700.0
 HALF_INTEGER_MIN_X = 1.0
 RATIO_MAX_ITER = 50_000
+# below this x the ratio is its leading term x/(2p): the next term's relative
+# size x^2/(4p(p+1)) is under half an ulp, while Lentz's 1e-300 seed is no
+# longer negligible against x/(2p)
+RATIO_LEADING_TERM_X = 1e-150
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -158,8 +162,8 @@ def bessel_ratio(p, x):
     The true ratio is strictly below 1 but can round to 1.0 (tanh
     saturates for p = 1/2); results are capped one ulp below 1.
     """
-    if x == 0.0:
-        return 0.0
+    if x < RATIO_LEADING_TERM_X:
+        return x / (2.0 * p)
     if p == 0.5:
         r = math.tanh(x)
     elif x > series_cutoff(p):
@@ -227,8 +231,8 @@ def _ratio_lentz_array(p, x):
 
 def bessel_ratio_array(p, x):
     """``bessel_ratio`` elementwise over a 1-D array of x >= 0."""
-    out = np.zeros(x.shape)
-    live = x != 0.0
+    out = x / (2.0 * p)
+    live = x >= RATIO_LEADING_TERM_X
     if p == 0.5:
         # np.tanh differs from libm's tanh in the last bit for about 1 in 5 inputs
         out[live] = [math.tanh(v) for v in x[live].tolist()]

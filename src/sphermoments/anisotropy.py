@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -28,9 +27,9 @@ from .errors import (
     ValidationError,
 )
 from .moments import (
-    SMALL_K,
     _check_concentrations,
     _check_direction,
+    _vmf_coefficients,
     bimodal_vmf_moments,
     peanut_moments,
     vmf_covariance,
@@ -289,44 +288,12 @@ def vmf_closed_form_report(k, u, params):
     array of concentrations gives a batch report.
     """
     u = _check_direction(u)
-    k = _check_concentrations(k)
     n = u.size
-    if isinstance(k, np.ndarray):
-        return _vmf_closed_form_batch(k, n, params)
-    if k < SMALL_K:
-        alpha = params.factor / n
-        beta = 0.0
-    else:
-        r = specfun.bessel_ratio(0.5 * n, k)
-        alpha = params.factor * r / k
-        beta = params.factor * specfun.bessel_ratio(0.5 * n + 1.0, k) * r
-    eigenvalues = np.full(n, alpha)
-    eigenvalues[0] = alpha + beta
-    if n == 2:
-        fa = 0.0 if beta == 0.0 else beta / math.hypot(alpha + beta, alpha)
-    elif n == 3:
-        fa = 0.0 if beta == 0.0 else beta / math.sqrt(
-            (alpha + beta) ** 2 + 2.0 * alpha * alpha
-        )
-    else:
-        fa = None
-    ratio = math.inf if alpha == 0.0 else 1.0 + beta / alpha
-    bounds = {"fa_max": 1.0}
-    return AnisotropyReport(eigenvalues, fa, ratio, bounds, _flags(fa, ratio, bounds))
-
-
-def _vmf_closed_form_batch(k, n, params):
-    """``vmf_closed_form_report`` over a 1-D k: the scalar formulas, row by row."""
-    big = k >= SMALL_K
-    kb = k[big]
-    alpha = np.full(k.shape, params.factor / n)
-    beta = np.zeros(k.shape)
-    r = specfun.bessel_ratio(0.5 * n, kb)
-    alpha[big] = params.factor * r / kb
-    beta[big] = params.factor * specfun.bessel_ratio(0.5 * n + 1.0, kb) * r
-    eigenvalues = np.repeat(alpha[:, None], n, axis=1)
-    eigenvalues[:, 0] = alpha + beta
-    # alpha = beta = 0 only by underflow; the scalar route's 0/0 guards follow
+    _, alpha, beta = _vmf_coefficients(n, _check_concentrations(k), params.factor)
+    eigenvalues = np.repeat(np.asarray(alpha)[..., None], n, axis=-1)
+    eigenvalues[..., 0] += beta
+    # alpha = beta = 0 only by underflow; FA is then 0 and the ratio +inf.
+    # np.divide, since a number k gives Python floats, which raise on x/0
     with np.errstate(divide="ignore", invalid="ignore"):
         if n == 2:
             fa = np.where(beta == 0.0, 0.0, beta / _hypot(alpha + beta, alpha))
@@ -338,7 +305,10 @@ def _vmf_closed_form_batch(k, n, params):
             )
         else:
             fa = None
-        ratio = np.where(alpha == 0.0, math.inf, 1.0 + beta / alpha)
+        ratio = np.where(alpha == 0.0, math.inf, 1.0 + np.divide(beta, alpha))
+    if ratio.ndim == 0:
+        fa = None if fa is None else float(fa)
+        ratio = float(ratio)
     bounds = {"fa_max": 1.0}
     return AnisotropyReport(eigenvalues, fa, ratio, bounds, _flags(fa, ratio, bounds))
 

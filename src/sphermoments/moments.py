@@ -4,7 +4,11 @@ bimodal von Mises-Fisher and peanut distributions.
 All Bessel-function ratios route through the overflow-safe machinery in
 ``specfun``, so concentrations up to k = 1e4 stay accurate; the 0/0
 structure of the formulas at k = 0 is replaced by its analytic limit
-(zero mean, identity/n covariance) below ``SMALL_K``.
+(zero mean, identity/n covariance) below ``SMALL_K``.  Both happen in
+``_vmf_coefficients`` alone, which every vMF closed form (here and in
+``anisotropy``) calls for its coefficients.  ``vmf_mean`` and
+``vmf_covariance`` take a number or a 1-D array of concentrations and run
+the same formulas on either.
 """
 
 import math
@@ -62,11 +66,36 @@ def _check_concentrations(k):
     return k
 
 
-def _ratios(n, k):
-    """(I_{n/2}/I_{n/2-1}, I_{n/2+1}/I_{n/2-1}) at concentration k (or a 1-D array)."""
-    r = specfun.bessel_ratio(0.5 * n, k)
-    r2 = specfun.bessel_ratio(0.5 * n + 1.0, k) * r
-    return r, r2
+def _vmf_coefficients(n, k, scale=1.0):
+    """``scale`` times (r, r/k, r2), the coefficients of the vMF closed forms.
+
+    r = I_{n/2}(k)/I_{n/2-1}(k) and r2 = I_{n/2+1}(k)/I_{n/2-1}(k); below
+    SMALL_K they take their k -> 0 limits (0, scale/n, 0).  ``k`` is a
+    checked number, giving floats, or a 1-D array, giving arrays: a number
+    keeps the scalar Bessel kernels, which are faster for one value.  The
+    products are (scale r)/k and (scale I_{n/2+1}/I_{n/2}) r, in that order.
+    """
+    limits = (0.0, scale / n, 0.0)
+    batch = isinstance(k, np.ndarray)
+    big = k >= SMALL_K
+    if not (batch or big):
+        return limits
+    kb = k[big] if batch else k
+    r = specfun.bessel_ratio(0.5 * n, kb)
+    sr = scale * r
+    values = (sr, sr / kb, scale * specfun.bessel_ratio(0.5 * n + 1.0, kb) * r)
+    if not batch:
+        return values
+    coefficients = tuple(np.full(k.shape, limit) for limit in limits)
+    for c, v in zip(coefficients, values):
+        c[big] = v
+    return coefficients
+
+
+def _mean(r, u):
+    mean = np.multiply.outer(r, u)
+    mean[r == 0.0] = 0.0  # the k -> 0 limit is +0, also where u is negative
+    return mean
 
 
 def vmf_mean(k, u):
@@ -75,51 +104,29 @@ def vmf_mean(k, u):
     A 1-D array of m concentrations gives the (m, n) array of means.
     """
     u = _check_direction(u)
-    k = _check_concentrations(k)
-    if isinstance(k, np.ndarray):
-        big = k >= SMALL_K
-        r = np.zeros(k.shape)
-        r[big] = specfun.bessel_ratio(0.5 * u.size, k[big])
-        return r[:, None] * u
-    if k < SMALL_K:
-        return np.zeros(u.size)
-    return specfun.bessel_ratio(0.5 * u.size, k) * u
+    r, _, _ = _vmf_coefficients(u.size, _check_concentrations(k))
+    return _mean(r, u)
 
 
 def vmf_covariance(k, u):
-    """Variance-covariance matrix of the vMF distribution.
+    """Variance-covariance matrix of the vMF distribution,
+    (r/k) I + (r2 - r^2) u u^T.
 
     A 1-D array of m concentrations gives the (m, n, n) stack of matrices.
     """
     u = _check_direction(u)
-    k = _check_concentrations(k)
     n = u.size
-    if isinstance(k, np.ndarray):
-        # below SMALL_K the limits r/k = 1/n and r = r2 = 0 give I/n
-        big = k >= SMALL_K
-        alpha = np.full(k.shape, 1.0 / n)
-        r = np.zeros(k.shape)
-        r2 = np.zeros(k.shape)
-        r[big], r2[big] = _ratios(n, k[big])
-        alpha[big] = r[big] / k[big]
-        return alpha[:, None, None] * np.eye(n) + (r2 - r * r)[:, None, None] * np.outer(u, u)
-    if k < SMALL_K:
-        return np.eye(n) / n
-    r, r2 = _ratios(n, k)
-    return (r / k) * np.eye(n) + (r2 - r * r) * np.outer(u, u)
+    r, alpha, r2 = _vmf_coefficients(n, _check_concentrations(k))
+    return np.multiply.outer(alpha, np.eye(n)) + np.multiply.outer(r2 - r * r, np.outer(u, u))
 
 
 def vmf_moments(k, u):
     """Closed-form MomentReport for the unimodal vMF distribution."""
     u = _check_direction(u)
-    k = _check_concentration(k)
     n = u.size
-    if k < SMALL_K:
-        second = np.eye(n) / n
-        return MomentReport(np.zeros(n), second, second, "closed_form")
-    r, r2 = _ratios(n, k)
-    mean = r * u
-    second = (r / k) * np.eye(n) + r2 * np.outer(u, u)
+    r, alpha, r2 = _vmf_coefficients(n, _check_concentration(k))
+    mean = _mean(r, u)
+    second = alpha * np.eye(n) + r2 * np.outer(u, u)
     return MomentReport(mean, second, second - np.outer(mean, mean), "closed_form")
 
 
@@ -130,13 +137,9 @@ def bimodal_vmf_moments(k, u):
     unimodal one.
     """
     u = _check_direction(u)
-    k = _check_concentration(k)
     n = u.size
-    if k < SMALL_K:
-        second = np.eye(n) / n
-        return MomentReport(np.zeros(n), second, second, "closed_form")
-    r, r2 = _ratios(n, k)
-    second = (r / k) * np.eye(n) + r2 * np.outer(u, u)
+    _, alpha, r2 = _vmf_coefficients(n, _check_concentration(k))
+    second = alpha * np.eye(n) + r2 * np.outer(u, u)
     return MomentReport(np.zeros(n), second, second, "closed_form")
 
 

@@ -93,7 +93,8 @@ def bessel_ratio(p, x):
     """Ratio I_p(x)/I_{p-1}(x), in [0, 1), safe for x up to at least 1e5.
 
     Uses a continued fraction for moderate x and exponentially scaled
-    large-argument expansions beyond, so no intermediate overflows.
+    large-argument expansions beyond, so no intermediate overflows; below
+    x = 1e-150 the ratio is its leading term x/(2p) to the last bit.
 
     ``x`` is a number, giving a float, or a 1-D array, giving an array of
     the same length.  An array is evaluated in one pass per branch, with

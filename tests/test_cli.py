@@ -428,6 +428,13 @@ def test_bench_rejects_nonpositive_repeats(capsys):
     assert "--repeats" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-1"])
+def test_bench_rejects_dimension_below_two(capsys, n):
+    code, out = run_cli(capsys, "bench", "--n", n, "--k-grid", "2", "--repeats", "1")
+    assert code == 2
+    assert "--n" in json.loads(out)["error"]
+
+
 # ---------------------------------------------------------------------------
 # output determinism and process entry point
 
@@ -450,6 +457,106 @@ def test_moments_golden_output(capsys):
         '"covariance": [[0.625, 0], [0, 0.375]], '
         '"source": "closed_form"}}\n'
     )
+
+
+BIMODAL_GOLDEN = {
+    (3, 0): (
+        '{"schema": "1", "eigenvalues": [0.8047619047619049, 0.8047619047619049, '
+        '0.8047619047619049], "fa": 0, "ratio": 1, '
+        '"bounds": {"fa_max": 1}, "bound_flags": {"fa_max": true}}\n'
+    ),
+    (3, 2): (
+        '{"schema": "1", "eigenvalues": [1.1170544599577761, 0.64861562716396848, '
+        '0.64861562716396848], "fa": 0.32408677489230892, "ratio": 1.7222133004134164, '
+        '"bounds": {"fa_max": 1}, "bound_flags": {"fa_max": true}}\n'
+    ),
+    (3, 500): (
+        '{"schema": "1", "eigenvalues": [2.4046478857142861, 0.0048189142857142861, '
+        '0.0048189142857142861], "fa": 0.99799199208849665, "ratio": 499.00200400801606, '
+        '"bounds": {"fa_max": 1}, "bound_flags": {"fa_max": true}}\n'
+    ),
+    (2, 2): (
+        '{"schema": "1", "eigenvalues": [1.5719720200291611, 0.84231369425655234], '
+        '"fa": 0.40913422205746214, "ratio": 1.8662548534446231, '
+        '"bounds": {"fa_max": 1}, "bound_flags": {"fa_max": true}}\n'
+    ),
+    (2, 500): (
+        '{"schema": "1", "eigenvalues": [2.4094619738477019, 0.0048237404380134189], '
+        '"fa": 0.99799600102807029, "ratio": 499.50075150395122, '
+        '"bounds": {"fa_max": 1}, "bound_flags": {"fa_max": true}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(BIMODAL_GOLDEN))
+def test_anisotropy_bimodal_golden_output(capsys, n, k):
+    # s^2/mu != 1, so the association of the factor shows in the last bit
+    u = [0] * (n - 1) + [1]
+    payload = f'{{"kind":"bimodal_vmf","n":{n},"u":{u},"k":{k}}}'
+    _, out = run_cli(capsys, "anisotropy", "--s", "1.3", "--mu", "0.7", "--dist-json", payload)
+    assert out == BIMODAL_GOLDEN[n, k]
+
+
+def test_moments_vmf_zero_concentration_golden_output(capsys):
+    # the k = 0 mean is +0 in every entry, also where u is negative
+    _, out = run_cli(
+        capsys, "moments", "--dist-json", '{"kind":"vmf","n":3,"u":[-0.6,0.8,0],"k":0}'
+    )
+    third = "0.33333333333333331"
+    identity = f"[[{third}, 0, 0], [0, {third}, 0], [0, 0, {third}]]"
+    assert out == (
+        '{"schema": "1", "closed_form": {"mean": [0, 0, 0], '
+        f'"second_moment": {identity}, "covariance": {identity}, '
+        '"source": "closed_form"}}\n'
+    )
+
+
+SWEEP_GOLDEN_HEADER = "parameter,value,fa,ratio,eigenvalue_1,eigenvalue_2,eigenvalue_3,mean_norm\n"
+SWEEP_GOLDEN = {
+    "vmf": (
+        "k,0,0,1,0.1588235294117647,0.1588235294117647,0.1588235294117647,0\n"
+        "k,1.0000000000000001e-09,0,1,0.1588235294117647,0.1588235294117647,"
+        "0.1588235294117647,0\n"
+        "k,1e-08,0,1,0.1588235294117647,0.1588235294117647,0.1588235294117647,"
+        "3.333333333333333e-09\n"
+        "k,29.989999999999998,0.68251238094436673,28.990000000018913,0.015357883941686435,"
+        "0.015357883941686435,0.00052976488243105949,0.96665555185061658\n"
+        "k,30,0.68252092918532636,29.000000000005137,0.015352941176470594,"
+        "0.015352941176470592,0.00052941176470578874,0.96666666666666679\n"
+        "k,30.010000000000002,0.68252947148831578,29.010000000004815,0.015348001587725653,"
+        "0.015348001587725653,0.00052905899992151343,0.9666777740753083\n"
+        "k,100000,0.70709971003380867,99999.048963173511,4.7646582352941183e-06,"
+        "4.7646582352941183e-06,4.7647035493795457e-11,0.99999000000000005\n"
+    ),
+    "bimodal_vmf": (
+        "k,0,0,1,0.15882352941176472,0.15882352941176472,0.15882352941176472,0\n"
+        "k,1.0000000000000001e-09,0,1,0.15882352941176472,0.15882352941176472,"
+        "0.15882352941176472,0\n"
+        "k,1e-08,1.1547005383792516e-17,1,0.1588235294117647,0.1588235294117647,"
+        "0.1588235294117647,0\n"
+        "k,29.989999999999998,0.9644022230728676,29.024494653328702,0.44575482035192066,"
+        "0.015357883941686435,0.015357883941686435,0\n"
+        "k,30,0.96441484702546165,29.034482758620687,0.44576470588235295,"
+        "0.015352941176470592,0.015352941176470592,0\n"
+        "k,30.010000000000002,0.96442746205704899,29.044470872113063,0.4457745850598428,"
+        "0.015348001587725655,0.015348001587725655,0\n"
+        "k,100000,0.99998999979999903,99999.000010000091,0.47646105891882357,"
+        "4.7646582352941183e-06,4.7646582352941183e-06,0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_GOLDEN))
+def test_sweep_edge_grid_golden_output(capsys, kind):
+    # k = 0, both sides of SMALL_K and of the Bessel series cutoff (30), and k = 1e5
+    payload = f'{{"kind":"{kind}","n":3,"u":[0.6,-0.8,0],"k":1}}'
+    code, out = run_cli(
+        capsys, "sweep", "--parameter", "k", "--dist-json", payload,
+        "--grid", "0,1e-9,1e-8,29.99,30,30.01,1e5", "--s", "0.9", "--mu", "1.7",
+        "--outputs", "fa,ratio,eigenvalues,mean_norm",
+    )
+    assert code == 0
+    assert out == SWEEP_GOLDEN_HEADER + SWEEP_GOLDEN[kind]
 
 
 def test_anisotropy_bound_violation_exits_one(capsys, monkeypatch):

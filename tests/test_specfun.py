@@ -165,6 +165,15 @@ def test_ratio_at_zero_and_near_zero():
     assert specfun.bessel_ratio(1.5, 1e-12) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 5.0])
+@pytest.mark.parametrize("x", [1e-200, 1e-290, 1e-300, 1e-305])
+def test_ratio_at_tiny_argument_against_high_precision_reference(p, x):
+    # below ~1e-290 a continued fraction seeded with 1e-300 would swamp x/(2p)
+    ref = float(mp.besseli(p, x) / mp.besseli(p - 1.0, x))
+    assert specfun.bessel_ratio(p, x) == pytest.approx(ref, rel=1e-15)
+    assert specfun.bessel_ratio(p, np.array([x]))[0] == pytest.approx(ref, rel=1e-15)
+
+
 def test_ratio_coth_value():
     # I_{3/2}/I_{1/2} at 2 equals coth 2 - 1/2
     ref = 1.0 / math.tanh(2.0) - 0.5
@@ -229,10 +238,14 @@ def test_ratio_rejects_low_order():
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.5, 5.0, 6.0])
 def test_ratio_array_is_bit_identical_to_scalar(p):
-    # every branch: x = 0, tanh (p = 1/2), Lentz up to series_cutoff(p), asymptotic above
+    # every branch: the leading term x/(2p) (x = 0 and tiny x, subnormals too),
+    # tanh (p = 1/2), Lentz up to series_cutoff(p), asymptotic above
     cut = _kernels_py.series_cutoff(p)
+    lead = _kernels_py.RATIO_LEADING_TERM_X
     x = np.concatenate([
-        [0.0, 1e-300, 1e-12, cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), 1e5],
+        [0.0, 5e-324, 1e-310, 1e-305, 1e-300, 1e-290, 1e-12],
+        [np.nextafter(lead, 0.0), lead, np.nextafter(lead, np.inf)],
+        [cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), 1e5],
         np.geomspace(1e-4, 1e5, 400),
         np.random.default_rng(int(2 * p)).uniform(0.5 * cut, 2.0 * cut, 200),
     ])
