@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _is_symmetric
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -29,9 +30,9 @@ from .errors import (
 from .moments import (
     _check_concentrations,
     _check_direction,
+    _peanut_moments,
     _vmf_coefficients,
     bimodal_vmf_moments,
-    peanut_moments,
     vmf_covariance,
 )
 from .reports import _freeze
@@ -57,7 +58,6 @@ FA3_MAX = 2.0 / math.sqrt(11.0)
 PEANUT_R_MAX = 3.0
 BOUND_SLACK = 1e-12
 
-_SYMMETRY_TOL = 1e-10
 _SIGN_TOL = 1e-12
 
 
@@ -74,6 +74,9 @@ class MotilityParams:
             if not math.isfinite(v) or v <= 0.0:
                 raise DomainError(f"{name} must be finite and > 0, got {v}")
             object.__setattr__(self, name, v)
+        if not 0.0 < self.factor < math.inf:
+            raise DomainError(f"s^2/mu = {self.factor} for s = {self.s}, mu = {self.mu}; "
+                              "choose units that make it a positive finite double")
 
     @property
     def factor(self):
@@ -129,7 +132,7 @@ def diffusion_tensor(dist, params):
     elif dist.kind == "bimodal_vmf":
         cov = bimodal_vmf_moments(dist.k, dist.u).covariance
     elif dist.kind == "peanut":
-        cov = peanut_moments(dist.A).covariance
+        cov = _peanut_moments(dist).covariance
     else:
         raise UnsupportedError(
             f"no closed-form covariance for kind {dist.kind!r}; "
@@ -153,17 +156,22 @@ def symmetric_eigen(M):
         raise ValidationError("matrix must be square (or a stack of square matrices)")
     if not np.all(np.isfinite(M)):
         raise ValidationError("matrix must be finite")
-    Mt = np.swapaxes(M, -1, -2)
-    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
-    if np.any(np.max(np.abs(M - Mt), axis=(-2, -1)) > _SYMMETRY_TOL * scale):
+    if not np.all(_is_symmetric(M)):
         raise ValidationError("matrix is not symmetric")
-    w, V = np.linalg.eigh(0.5 * (M + Mt))
+    w, V = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
     w = w[..., ::-1]
     V = V[..., ::-1]
     # eigenvectors are unit vectors, so each has an entry above _SIGN_TOL
     first = np.argmax(np.abs(V) > _SIGN_TOL, axis=-2)
     lead = np.take_along_axis(V, first[..., None, :], axis=-2)
     return w, np.where(lead < 0.0, -V, V)
+
+
+def _rescaled(x, top):
+    """x times 2^-e, exactly, where top = m 2^e is beyond 2^(+-450) and squares
+    near it overflow or underflow; FA does not depend on the scale."""
+    e = np.frexp(top)[1]
+    return np.ldexp(x, np.where(np.abs(e) > 450, -e, 0))
 
 
 def fractional_anisotropy(eigenvalues):
@@ -185,7 +193,7 @@ def fractional_anisotropy(eigenvalues):
         raise DegenerateTensorError("all eigenvalues are zero")
     if np.any(lam.min(axis=-1) < -1e-10 * top):
         raise DomainError("eigenvalues must be nonnegative")
-    lam = np.clip(lam, 0.0, None)
+    lam = _rescaled(np.clip(lam, 0.0, None), top[..., None])
     spread = np.sum((lam - lam.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
     sumsq = np.sum(lam * lam, axis=-1)
     if lam.shape[-1] == 2:
@@ -292,17 +300,14 @@ def vmf_closed_form_report(k, u, params):
     _, alpha, beta = _vmf_coefficients(n, _check_concentrations(k), params.factor)
     eigenvalues = np.repeat(np.asarray(alpha)[..., None], n, axis=-1)
     eigenvalues[..., 0] += beta
+    a, b = (_rescaled(c, alpha + beta) for c in (alpha, beta))
     # alpha = beta = 0 only by underflow; FA is then 0 and the ratio +inf.
     # np.divide, since a number k gives Python floats, which raise on x/0
     with np.errstate(divide="ignore", invalid="ignore"):
         if n == 2:
-            fa = np.where(beta == 0.0, 0.0, beta / _hypot(alpha + beta, alpha))
+            fa = np.where(b == 0.0, 0.0, b / _hypot(a + b, a))
         elif n == 3:
-            fa = np.where(
-                beta == 0.0,
-                0.0,
-                beta / np.sqrt(_square(alpha + beta) + 2.0 * alpha * alpha),
-            )
+            fa = np.where(b == 0.0, 0.0, b / np.sqrt(_square(a + b) + 2.0 * a * a))
         else:
             fa = None
         ratio = np.where(alpha == 0.0, math.inf, 1.0 + np.divide(beta, alpha))

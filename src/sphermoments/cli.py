@@ -151,20 +151,16 @@ def _closed_form_report(dist):
     if dist.kind == "bimodal_vmf":
         return moments.bimodal_vmf_moments(dist.k, dist.u)
     if dist.kind == "peanut":
-        return moments.peanut_moments(dist.A)
+        return moments._peanut_moments(dist)
     return None
 
 
 def _anisotropy_report(dist, params):
     if dist.kind == "bimodal_vmf":
         return anisotropy.vmf_closed_form_report(dist.k, dist.u, params)
-    if dist.kind == "peanut":
-        sym_gap = float(np.max(np.abs(dist.A - np.swapaxes(dist.A, -1, -2))))
-        if sym_gap <= 1e-10 * max(1.0, float(np.max(np.abs(dist.A)))):
-            return anisotropy.peanut_closed_form_report(dist.A, params)
-        # asymmetric input: the generic route symmetrizes via the
-        # closed-form covariance
-        return anisotropy.anisotropy_report(dist, params)
+    if dist.kind == "peanut" and np.all(distributions._is_symmetric(dist.A)):
+        return anisotropy.peanut_closed_form_report(dist.A, params)
+    # asymmetric peanuts too: the closed-form covariance symmetrizes A
     return anisotropy.anisotropy_report(dist, params)
 
 

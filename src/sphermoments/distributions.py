@@ -7,7 +7,7 @@ overflow.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,8 +60,9 @@ class SphericalDistribution:
     ``u`` (unit mean direction) and ``k`` (concentration >= 0) apply to
     vmf/bimodal_vmf; ``A`` (anisotropy matrix with positive-definite
     symmetric part) to peanut/odf/bingham; ``delta`` (diffusion time > 0)
-    to bingham only.  Instances are immutable; use :func:`validate` for a
-    total check of the invariants.
+    to bingham only.  Instances are immutable, so :func:`validate` runs once,
+    when one is built, and its violations are kept: building never raises,
+    but every consumer of an object that has any raises ValidationError.
 
     A 1-D array ``k`` (kept as a read-only copy) makes a batch point: one
     vmf or bimodal vMF distribution per entry, which the closed-form
@@ -76,6 +77,7 @@ class SphericalDistribution:
     k: float | None = None
     A: np.ndarray | None = None
     delta: float | None = None
+    _violations: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.u is not None:
@@ -88,41 +90,50 @@ class SphericalDistribution:
             object.__setattr__(self, "k", float(self.k))
         if self.delta is not None:
             object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "_violations", tuple(validate(self)))
+
+
+def _length(x, name):
+    if np.ndim(x) == 0:
+        raise ValidationError(f"{name} must be an array, got a number")
+    return len(x)
 
 
 def vmf(u, k):
     """Von Mises-Fisher distribution with mean direction u, concentration k."""
-    return _checked(SphericalDistribution("vmf", len(u), u=u, k=k))
+    return _checked(SphericalDistribution("vmf", _length(u, "u"), u=u, k=k))
 
 
 def bimodal_vmf(u, k):
     """Antipodally symmetric two-mode von Mises-Fisher mixture."""
-    return _checked(SphericalDistribution("bimodal_vmf", len(u), u=u, k=k))
+    return _checked(SphericalDistribution("bimodal_vmf", _length(u, "u"), u=u, k=k))
 
 
 def peanut(A):
     """Quadratic-form density proportional to theta^T A theta."""
-    A = np.asarray(A, dtype=float)
-    return _checked(SphericalDistribution("peanut", len(A), A=A))
+    return _checked(SphericalDistribution("peanut", _length(A, "A"), A=A))
 
 
 def odf(A):
     """Orientation distribution function for a 3x3 anisotropy matrix."""
-    A = np.asarray(A, dtype=float)
-    return _checked(SphericalDistribution("odf", len(A), A=A))
+    return _checked(SphericalDistribution("odf", _length(A, "A"), A=A))
 
 
 def bingham(A, delta):
     """Bingham (anisotropic Gaussian) density with diffusion time delta."""
-    A = np.asarray(A, dtype=float)
-    return _checked(SphericalDistribution("bingham", len(A), A=A, delta=delta))
+    return _checked(SphericalDistribution("bingham", _length(A, "A"), A=A, delta=delta))
 
 
 def _checked(dist):
-    violations = validate(dist)
-    if violations:
-        raise ValidationError(violations)
+    if dist._violations:
+        raise ValidationError(dist._violations)
     return dist
+
+
+def _is_symmetric(A):
+    """Whether A (or each matrix of a stack) is symmetric to 1e-10 max(1, max|A|)."""
+    gap = np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1))
+    return gap <= 1e-10 * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
 
 
 def _expects(kind):
@@ -131,7 +142,8 @@ def _expects(kind):
 
 
 def validate(dist):
-    """Total invariant check; returns a list of violation messages."""
+    """Total invariant check; returns a list of violation messages.  Each
+    SphericalDistribution runs it once, when it is built, and keeps them."""
     out = []
     if dist.kind not in KINDS:
         out.append(f"unknown kind {dist.kind!r}")
@@ -189,8 +201,7 @@ def validate(dist):
         out.append("odf densities are defined for n = 3 only")
     if dist.kind in ("odf", "bingham"):
         # these normalization constants assume a symmetric tensor
-        scale = max(1.0, float(np.max(np.abs(dist.A))))
-        if np.max(np.abs(dist.A - dist.A.T)) > 1e-10 * scale:
+        if not _is_symmetric(dist.A):
             out.append(f"A must be symmetric for {dist.kind}")
         det = np.linalg.det(dist.A)
         if not math.isfinite(det) or det <= 0.0:
@@ -201,12 +212,6 @@ def validate(dist):
 def density_is_normalized(dist):
     """False only for Bingham outside n = 3, where no constant is known."""
     return not (dist.kind == "bingham" and dist.n != 3)
-
-
-def _require_valid(dist):
-    violations = validate(dist)
-    if violations:
-        raise ValidationError(violations)
 
 
 def _vmf_log_const(n, k):
@@ -237,7 +242,7 @@ def _quadratic_form(M, points):
 
 def log_density_many(dist, thetas):
     """Log densities at an (m, n) array of unit vectors."""
-    _require_valid(dist)
+    _checked(dist)
     points = _as_points(dist, thetas)
     if dist.kind == "vmf":
         return _vmf_log_const(dist.n, dist.k) + dist.k * (points @ dist.u)
@@ -265,7 +270,7 @@ def log_density_many(dist, thetas):
 def density_many(dist, thetas):
     """Densities at an (m, n) array of unit vectors."""
     if dist.kind == "peanut":
-        _require_valid(dist)
+        _checked(dist)
         points = _as_points(dist, thetas)
         c = dist.n / (sphere_surface_area(dist.n) * np.trace(dist.A))
         return c * _quadratic_form(dist.A, points)

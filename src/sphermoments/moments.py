@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .distributions import SphericalDistribution, validate as _validate_dist
+from .distributions import _checked, peanut as _peanut
 from .errors import DomainError, UnsupportedError, ValidationError
 from .reports import MomentReport
 
@@ -149,11 +149,13 @@ def peanut_moments(A):
     The covariance depends on A only through its symmetric part, so
     asymmetric input with positive-definite symmetric part is accepted.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0] if A.ndim == 2 else 0
-    violations = _validate_dist(SphericalDistribution("peanut", max(n, 2), A=A))
-    if violations:
-        raise ValidationError(violations)
+    return _peanut_moments(_peanut(A))
+
+
+def _peanut_moments(dist):
+    """``peanut_moments`` of a peanut distribution, checked when it was built."""
+    A = _checked(dist).A
+    n = dist.n
     second = np.eye(n) / (n + 2) + (A + A.T) / ((n + 2) * np.trace(A))
     return MomentReport(np.zeros(n), second, second, "closed_form")
 

@@ -17,13 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import jacobi_eigh
-from .distributions import (
-    SphericalDistribution,
-    density_many,
-    sphere_surface_area,
-    validate as _validate_dist,
-)
+from .distributions import density_many, peanut as _peanut, sphere_surface_area
 from .errors import DomainError, UnsupportedError, ValidationError
 from .moments import _check_concentration, _check_direction
 from .reports import MomentReport
@@ -400,14 +394,9 @@ def sample_peanut(A, count, seed):
     so proposals are accepted with probability theta^T A theta / lambda_max.
     """
     count = _check_count(count)
-    dist = SphericalDistribution("peanut", len(np.atleast_2d(A)), A=A)
-    violations = _validate_dist(dist)
-    if violations:
-        raise ValidationError(violations)
-    A = dist.A
-    n = dist.n
-    sym = 0.5 * (A + A.T)
-    lam_max = float(jacobi_eigh(sym)[0].max())
+    A = _peanut(A).A
+    n = len(A)
+    lam_max = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     points = np.empty((count, n))
     got = 0

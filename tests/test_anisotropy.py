@@ -30,6 +30,10 @@ def test_motility_params_validation():
     for bad in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan)):
         with pytest.raises(DomainError):
             an.MotilityParams(*bad)
+    # s and mu are finite and positive, but s^2/mu is inf or 0 as a double
+    for bad in ((1e160, 1.0), (1.0, 1e-320), (1e-200, 1.0), (1e-10, 1e308)):
+        with pytest.raises(DomainError, match="s\\^2/mu"):
+            an.MotilityParams(*bad)
 
 
 def test_diffusion_tensor_isotropic_peanut():

@@ -187,6 +187,36 @@ def test_anisotropy_asymmetric_peanut_uses_generic_route(capsys):
     assert data["fa"] == pytest.approx(sym["fa"], abs=1e-10)
 
 
+def _fixed_dist_json(kind, n):
+    if kind in ("vmf", "bimodal_vmf"):
+        return json.dumps({"kind": kind, "n": n, "u": [0.0] * (n - 1) + [1.0], "k": 2.0})
+    A = np.diag([3.0, 1.0, 0.5][:n])
+    if kind == "asymmetric_peanut":  # takes the generic route
+        A[0, 1] = 0.4
+    return json.dumps({"kind": "peanut", "n": n, "A": A.tolist()})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["vmf", "bimodal_vmf", "peanut", "asymmetric_peanut"])
+def test_anisotropy_at_extreme_motility_scales(capsys, kind, n):
+    # s^2/mu = 1e-320 is subnormal, and the squares of 1e200 overflow;
+    # FA does not depend on s^2/mu
+    dist = _fixed_dist_json(kind, n)
+    base = json.loads(run_cli(capsys, "anisotropy", "--dist-json", dist)[1])
+    for s in ("1e-160", "1e100"):
+        code, out = run_cli(capsys, "anisotropy", "--dist-json", dist, "--s", s)
+        data = json.loads(out)
+        assert code == 0
+        assert isinstance(data["fa"], (int, float)) and math.isfinite(data["fa"])
+        assert all(data["bound_flags"].values())
+    assert data["fa"] == pytest.approx(base["fa"], rel=1e-12, abs=0.0)
+    # s^2/mu overflows to inf and underflows to 0
+    for s in ("1e160", "1e-200"):
+        code, out = run_cli(capsys, "anisotropy", "--dist-json", dist, "--s", s)
+        assert code == 2
+        assert "s^2/mu" in json.loads(out)["error"]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -95,6 +95,16 @@ def test_factories_raise_on_bad_input():
         d.vmf([1.0, 0.0], -2.0)
     with pytest.raises(ValidationError):
         d.peanut(np.diag([1.0, -1.0]))
+    # a number, which has no len(), is bad input too, not a TypeError
+    for build in (
+        lambda: d.vmf(1.0, 2.0),
+        lambda: d.bimodal_vmf(1.0, 2.0),
+        lambda: d.peanut(5.0),
+        lambda: d.odf(5.0),
+        lambda: d.bingham(5.0, 1.0),
+    ):
+        with pytest.raises(ValidationError):
+            build()
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,8 @@ def test_peanut_rejects_bad_matrices():
         moments.peanut_moments(np.diag([1.0, -2.0]))
     with pytest.raises(ValidationError):
         moments.peanut_moments(np.ones((2, 3)))
+    with pytest.raises(ValidationError):
+        moments.peanut_moments(5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -302,8 +302,9 @@ def test_sampler_input_validation():
     for bad_k in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             oracle.sample_vmf(bad_k, [1.0, 0.0, 0.0], 10, 1)
-    with pytest.raises(ValidationError):
-        oracle.sample_peanut(np.diag([1.0, -1.0]), 100, 0)
+    for bad_a in (np.diag([1.0, -1.0]), 5.0):
+        with pytest.raises(ValidationError):
+            oracle.sample_peanut(bad_a, 100, 0)
     for bad_count in (0, -3, -5, 2.5, True, None, "10"):
         with pytest.raises(ValidationError, match="count"):
             oracle.uniform_sphere(3, bad_count, 0)

@@ -1,0 +1,89 @@
+"""Each distribution is validated once, when it is built.
+
+The counts go through every module-level binding of ``jacobi_eigh`` (the
+positive-definiteness check inside ``validate``) and of ``validate``, so a
+re-validation made through a name imported into another module counts too.
+"""
+
+import json
+import sys
+
+import numpy as np
+import pytest
+
+from sphermoments import _linalg, anisotropy, cli, distributions, oracle
+from sphermoments.errors import ValidationError
+
+from util import random_spd, rng_for
+
+
+@pytest.fixture
+def start_counting(monkeypatch):
+    """Call it to start counting; it returns the live {name: calls} dict."""
+
+    def start():
+        counts = {}
+        for original in (_linalg.jacobi_eigh, distributions.validate):
+            name = original.__name__
+            counts[name] = 0
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] != "sphermoments":
+                    continue
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        return counts
+
+    return start
+
+
+def _peanut_json(asymmetric):
+    A = random_spd(rng_for(5), 5, asymmetric=asymmetric)
+    return json.dumps({"kind": "peanut", "n": 5, "A": A.tolist()})
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_cli_moments_validates_a_peanut_once(capsys, start_counting, asymmetric):
+    counts = start_counting()
+    assert cli.main(["moments", "--dist-json", _peanut_json(asymmetric)]) == 0
+    assert counts == {"jacobi_eigh": 1, "validate": 1}
+
+
+def test_cli_anisotropy_validates_an_asymmetric_peanut_once(capsys, start_counting):
+    counts = start_counting()
+    assert cli.main(["anisotropy", "--dist-json", _peanut_json(True)]) == 0
+    assert counts == {"jacobi_eigh": 1, "validate": 1}
+
+
+def test_mc_moments_does_not_revalidate(start_counting):
+    dist = distributions.peanut(random_spd(rng_for(6), 5))
+    counts = start_counting()
+    report = oracle.mc_moments(dist, oracle.McSpec(5, oracle.BLOCK_SIZE + 1000, 0))
+    assert report.provenance["samples"] > oracle.BLOCK_SIZE  # two blocks
+    assert counts == {"jacobi_eigh": 0, "validate": 0}
+
+
+def test_sample_peanut_validates_once(start_counting):
+    counts = start_counting()
+    oracle.sample_peanut(random_spd(rng_for(7), 5), 1000, 0)
+    assert counts == {"jacobi_eigh": 1, "validate": 1}
+
+
+def test_directly_built_invalid_object_raises_in_every_consumer():
+    dist = distributions.SphericalDistribution("peanut", 2, A=np.diag([1.0, -2.0]))
+    assert dist._violations == ("A not positive definite", "A must have positive trace")
+    consumers = (
+        lambda: distributions.density(dist, [1.0, 0.0]),
+        lambda: distributions.log_density(dist, [1.0, 0.0]),
+        lambda: anisotropy.diffusion_tensor(dist, anisotropy.MotilityParams(1.0, 1.0)),
+        lambda: oracle.quad_moments(dist, check=False),
+        lambda: cli._closed_form_report(dist),
+    )
+    for consume in consumers:
+        with pytest.raises(ValidationError, match="A not positive definite"):
+            consume()

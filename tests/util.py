@@ -2,23 +2,13 @@
 
 import numpy as np
 
+# the library's own input generators, which its validate suites draw from
+from sphermoments.validation import _random_spd as random_spd
+from sphermoments.validation import _random_unit as random_unit
+
 
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def random_unit(rng, n):
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def random_spd(rng, n, asymmetric=False):
-    m = rng.standard_normal((n, n))
-    a = m @ m.T + 0.05 * np.eye(n)
-    if asymmetric:
-        s = rng.standard_normal((n, n))
-        a = a + 0.2 * (s - s.T)
-    return a
 
 
 def random_rotation(rng, n):
