@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _is_symmetric
+from .distributions import _is_symmetric, _rescaled
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -158,20 +158,14 @@ def symmetric_eigen(M):
         raise ValidationError("matrix must be finite")
     if not np.all(_is_symmetric(M)):
         raise ValidationError("matrix is not symmetric")
-    w, V = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
+    # halves first: M + M^T overflows for entries near the largest double
+    w, V = np.linalg.eigh(0.5 * M + 0.5 * np.swapaxes(M, -1, -2))
     w = w[..., ::-1]
     V = V[..., ::-1]
     # eigenvectors are unit vectors, so each has an entry above _SIGN_TOL
     first = np.argmax(np.abs(V) > _SIGN_TOL, axis=-2)
     lead = np.take_along_axis(V, first[..., None, :], axis=-2)
     return w, np.where(lead < 0.0, -V, V)
-
-
-def _rescaled(x, top):
-    """x times 2^-e, exactly, where top = m 2^e is beyond 2^(+-450) and squares
-    near it overflow or underflow; FA does not depend on the scale."""
-    e = np.frexp(top)[1]
-    return np.ldexp(x, np.where(np.abs(e) > 450, -e, 0))
 
 
 def fractional_anisotropy(eigenvalues):
@@ -256,14 +250,22 @@ def peanut_closed_form_report(A, params):
     Demands symmetric positive-definite A (symmetrize upstream if an
     asymmetric matrix is intended); the tensor eigenvalues are
     (s^2/(mu (n+2))) (1 + 2 lhat_i / tr A).  An (m, n, n) stack of
-    matrices gives a batch report.
+    matrices gives a batch report.  An eigenvalue of A above the largest
+    double raises DomainError.
     """
     A = np.asarray(A, dtype=float)
     lam_hat, _ = symmetric_eigen(A)  # raises on asymmetric input
+    top = lam_hat[..., :1]
+    if not np.isfinite(top).all():
+        raise DomainError("an eigenvalue of A overflows a double; divide A by a "
+                          "power of two (the peanut does not depend on its scale)")
     if np.any(lam_hat[..., -1] <= 0.0):
         raise ValidationError("A not positive definite")
     n = A.shape[-1]
-    trace = np.trace(A, axis1=-2, axis2=-1)[..., None]
+    # the report does not depend on the scale of A: scale its eigenvalues and
+    # trace where their squares, or tr A + 2 lhat_i, would overflow or underflow
+    lam_hat = _rescaled(lam_hat, top)
+    trace = np.trace(_rescaled(A, top[..., None]), axis1=-2, axis2=-1)[..., None]
     eigenvalues = params.factor / (n + 2) * (1.0 + 2.0 * lam_hat / trace)
     lam = np.moveaxis(lam_hat, -1, 0)  # lam[i]: the i-th eigenvalue of each A
     shifted = np.moveaxis(trace + 2.0 * lam_hat, -1, 0)  # tr A + 2 lhat_i

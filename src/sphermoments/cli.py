@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,26 +90,64 @@ def _emit(obj, parts):
                 parts.append(", ")
             _emit(value, parts)
         parts.append("]")
+    elif isinstance(obj, _Table):
+        parts.append(_json_rows(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _csv_cell(value):
-    if isinstance(value, (float, np.floating)):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(float(value), ".17g")
-    return str(value)
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """A report as columns of ``rows`` cells each: a 1-D float array, or one
+    cell (str, int or None) that every row repeats.  Both formats spell each
+    row through one template with a %.17g slot per float column, filled from
+    all rows in a single ``%``."""
+
+    columns: dict
+    rows: int
 
 
-def _csv_text(rows):
-    """CSV with a header line from the keys of the first row."""
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(row[name]) for name in header) for row in rows]
-    return "\n".join(lines) + "\n"
+def _interleaved(columns):
+    """Row-major values of equal-length float columns, as Python floats."""
+    return np.column_stack(columns).ravel().tolist() if columns else []
+
+
+def _csv_text(table):
+    """CSV with a header line of the column names.  %.17g spells inf, -inf
+    and nan as CSV cells always have; a repeated cell is spelled by str()."""
+    cells, columns = [], []
+    for column in table.columns.values():
+        if isinstance(column, np.ndarray):
+            cells.append("%.17g")
+            columns.append(column)
+        else:
+            cells.append(str(column).replace("%", "%%"))
+    row = ",".join(cells) + "\n"
+    return ",".join(table.columns) + "\n" + (row * table.rows) % tuple(_interleaved(columns))
+
+
+def _json_rows(table):
+    """JSON array of one object per row, as ``_emit`` would spell the rows;
+    only a column holding non-finite values is spelled cell by cell."""
+    fields, columns, spelled = [], [], {}
+    for name, column in table.columns.items():
+        if isinstance(column, np.ndarray):
+            bad = np.flatnonzero(~np.isfinite(column)).tolist()
+            if bad:  # JSON quotes inf, -inf and nan
+                cells = ["%.17g" % x for x in column.tolist()]
+                for i in bad:
+                    cells[i] = f'"{cells[i]}"'
+                spelled[len(columns)] = cells
+            slot = "%s" if bad else "%.17g"
+            columns.append(column)
+        else:
+            slot = dumps(column).replace("%", "%%")
+        fields.append(f"{json.dumps(str(name))}: {slot}")
+    values = _interleaved(columns)
+    for j, cells in spelled.items():
+        values[j :: len(columns)] = cells
+    row = "{" + ", ".join(fields) + "}"
+    return "[" + ", ".join([row] * table.rows) % tuple(values) + "]"
 
 
 def _write_output(text, path):
@@ -244,35 +283,35 @@ def _parse_grid(args):
     return values
 
 
-def _sweep_rows(args, dist, params, values, outputs):
-    """One row per grid value, from one batch report over the whole grid."""
-    if args.parameter == "k":
-        point = distributions.SphericalDistribution(dist.kind, dist.n, u=dist.u, k=values)
-    else:
+def _sweep_table(args, dist, params, values, outputs):
+    """The sweep's columns, one row per grid value, from one batch report
+    over the whole grid.  ``fa`` is None outside n in {2, 3}."""
+    if args.parameter == "eigen_ratio":
         a = np.tile(np.eye(dist.n), (values.size, 1, 1))
         a[:, 0, 0] = values
-        point = distributions.SphericalDistribution(dist.kind, dist.n, A=a)
-    report = _anisotropy_report(point, params)
-    columns = {}
+        report = anisotropy.peanut_closed_form_report(a, params)
+    elif dist.kind == "bimodal_vmf":
+        report = anisotropy.vmf_closed_form_report(values, dist.u, params)
+    else:
+        # the vmf has no closed route; the generic one takes a batch point
+        point = distributions.SphericalDistribution("vmf", dist.n, u=dist.u, k=values)
+        report = anisotropy.anisotropy_report(point, params)
+    columns = {"parameter": args.parameter, "value": values}
     for output in outputs:
         if output == "fa":
-            columns["fa"] = [None] * values.size if report.fa is None else report.fa.tolist()
+            columns["fa"] = report.fa
         elif output == "ratio":
-            columns["ratio"] = report.ratio.tolist()
+            columns["ratio"] = report.ratio
         elif output == "eigenvalues":
-            for i, lam in enumerate(report.eigenvalues.T.tolist(), start=1):
+            for i, lam in enumerate(report.eigenvalues.T, start=1):
                 columns[f"eigenvalue_{i}"] = lam
         elif output == "mean_norm":
-            if point.kind == "vmf":
-                mean = moments.vmf_mean(point.k, point.u)
-                columns["mean_norm"] = np.linalg.norm(mean, axis=1).tolist()
+            if dist.kind == "vmf":
+                mean = moments.vmf_mean(values, dist.u)
+                columns["mean_norm"] = np.linalg.norm(mean, axis=1)
             else:
-                columns["mean_norm"] = [0.0] * values.size
-    names = list(columns)
-    return [
-        {"parameter": args.parameter, "value": value, **dict(zip(names, cells))}
-        for value, *cells in zip(values.tolist(), *columns.values())
-    ]
+                columns["mean_norm"] = np.zeros(values.size)
+    return _Table(columns, values.size)
 
 
 def cmd_sweep(args):
@@ -293,11 +332,11 @@ def cmd_sweep(args):
             raise ValueError("eigen_ratio sweeps require a peanut distribution")
         if np.any(values <= 0):
             raise ValueError("eigen_ratio grid values must be > 0")
-    rows = _sweep_rows(args, dist, params, values, outputs)
+    table = _sweep_table(args, dist, params, values, outputs)
     if args.format == "json":
-        text = dumps({"schema": "1", "rows": rows}) + "\n"
+        text = dumps({"schema": "1", "rows": table}) + "\n"
     else:
-        text = _csv_text(rows)
+        text = _csv_text(table)
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -345,9 +384,9 @@ def cmd_bench(args):
     u = np.zeros(n)
     u[0] = 1.0
     oracle_method = f"quad_{args.resolution}" if n <= 3 else f"mc_{args.samples}"
-    rows = []
+    closed_s, oracle_s = [], []
     for k in values:
-        closed_s = _time_per_call(lambda: moments.vmf_covariance(k, u), args.repeats)
+        closed_s.append(_time_per_call(lambda: moments.vmf_covariance(k, u), args.repeats))
         dist = distributions.vmf(u, k)
         if n <= 3:
             spec = oracle.QuadratureSpec.for_dimension(n, args.resolution)
@@ -361,18 +400,20 @@ def cmd_bench(args):
             def run_oracle():
                 oracle.mc_moments(dist, mc_spec)
 
-        oracle_s = _time_per_call(run_oracle, args.repeats, min_time=0.05)
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "oracle_method": oracle_method,
-                "closed_form_us": closed_s * 1e6,
-                "oracle_us": oracle_s * 1e6,
-                "speedup": oracle_s / closed_s,
-            }
-        )
-    _write_output(_csv_text(rows), args.out)
+        oracle_s.append(_time_per_call(run_oracle, args.repeats, min_time=0.05))
+    closed_s, oracle_s = np.array(closed_s), np.array(oracle_s)
+    table = _Table(
+        {
+            "n": n,
+            "k": np.array(values),
+            "oracle_method": oracle_method,
+            "closed_form_us": closed_s * 1e6,
+            "oracle_us": oracle_s * 1e6,
+            "speedup": oracle_s / closed_s,
+        },
+        len(values),
+    )
+    _write_output(_csv_text(table), args.out)
     return EXIT_OK
 
 

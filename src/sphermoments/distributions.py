@@ -136,6 +136,16 @@ def _is_symmetric(A):
     return gap <= 1e-10 * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
 
 
+def _rescaled(x, top):
+    """x times 2^-e, exactly, where top = m 2^e is beyond 2^(+-450) and squares
+    near it overflow or underflow; for quantities that do not depend on the scale."""
+    magnitudes = np.abs(top).ravel().tolist()  # Python's min and max are faster here
+    if 2.0**-451 <= min(magnitudes, default=1.0) and max(magnitudes, default=1.0) < 2.0**450:
+        return x  # every |e| <= 450
+    e = np.frexp(top)[1]
+    return np.ldexp(x, np.where(np.abs(e) > 450, -e, 0))
+
+
 def _expects(kind):
     has_uk = kind in ("vmf", "bimodal_vmf")
     return has_uk, not has_uk, kind == "bingham"
@@ -191,11 +201,14 @@ def validate(dist):
     if not np.all(np.isfinite(dist.A)):
         out.append("A must be finite")
         return out
-    sym = 0.5 * (dist.A + dist.A.T)
+    # halves first, as dist.A + dist.A.T may overflow; the signs checked here
+    # do not depend on the scale, and the solver squares entries
+    sym = 0.5 * dist.A + 0.5 * dist.A.T
+    sym = _rescaled(sym, np.abs(sym).max())
     eigenvalues, _ = jacobi_eigh(sym)
     if eigenvalues.min() <= 0.0:
         out.append("A not positive definite")
-    if np.trace(dist.A) <= 0.0:
+    if np.trace(sym) <= 0.0:
         out.append("A must have positive trace")
     if dist.kind == "odf" and dist.n != 3:
         out.append("odf densities are defined for n = 3 only")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .distributions import _checked, peanut as _peanut
+from .distributions import _checked, _rescaled, peanut as _peanut
 from .errors import DomainError, UnsupportedError, ValidationError
 from .reports import MomentReport
 
@@ -155,6 +155,7 @@ def peanut_moments(A):
 def _peanut_moments(dist):
     """``peanut_moments`` of a peanut distribution, checked when it was built."""
     A = _checked(dist).A
+    A = _rescaled(A, np.abs(A).max())  # the moments do not depend on the scale of A
     n = dist.n
     second = np.eye(n) / (n + 2) + (A + A.T) / ((n + 2) * np.trace(A))
     return MomentReport(np.zeros(n), second, second, "closed_form")

@@ -217,6 +217,43 @@ def test_anisotropy_at_extreme_motility_scales(capsys, kind, n):
         assert "s^2/mu" in json.loads(out)["error"]
 
 
+# A = diag(...) whose squares, tr A + 2 max(A) or tr A overflow, or whose
+# squares underflow; the moments and the report do not depend on the scale of A
+PEANUT_SCALES = {
+    "n3_1e200": [1e200, 1.0, 1.0],
+    "n2_1.7e308": [1.7e308, 1.0],
+    "n2_twice_1.7e308": [1.7e308, 1.7e308],
+    "n3_1e-200": [1e-200, 1e-210, 1e-210],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEANUT_SCALES))
+def test_peanut_at_extreme_scales_of_a(capsys, case):
+    diagonal = np.array(PEANUT_SCALES[case])
+    normal = np.ldexp(diagonal, -np.frexp(diagonal.max())[1])  # exactly, into [0.5, 1)
+    outputs = []
+    for d in (diagonal, normal):
+        dist = json.dumps({"kind": "peanut", "n": d.size, "A": np.diag(d).tolist()})
+        code, out = run_cli(capsys, "anisotropy", "--dist-json", dist)
+        assert code == 0
+        report = json.loads(out)
+        assert all(report["bound_flags"].values())
+        code, out = run_cli(capsys, "moments", "--dist-json", dist)
+        assert code == 0
+        moments = json.loads(out)["closed_form"]
+        outputs.append([report["fa"], report["ratio"], *report["eigenvalues"],
+                        *np.ravel(moments["covariance"])])
+    np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-15, atol=0.0)
+
+
+def test_peanut_eigenvalue_overflow_is_domain_error(capsys):
+    # A is finite and positive definite, but its largest eigenvalue is 2.7e308
+    dist = '{"kind":"peanut","n":2,"A":[[1.7e308,1e308],[1e308,1.7e308]]}'
+    code, out = run_cli(capsys, "anisotropy", "--dist-json", dist)
+    assert code == 2
+    assert "overflows a double" in json.loads(out)["error"]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -320,7 +357,9 @@ def test_sweep_rows_match_anisotropy_generic_and_peanut(capsys, kind, n):
         rows, reports = _sweep_and_single_points(capsys, payload, "k", SWEEP_K_GRID)
     else:
         payload = {"kind": "peanut", "n": n, "A": np.eye(n).tolist()}
-        grid = [0.01, 0.5, 1.0, 1.5, 3.0, 100.0, 1e6]
+        # from 1e154 on, squares of A's eigenvalues overflow, and near the
+        # largest double so does tr A + 2 t
+        grid = [0.01, 0.5, 1.0, 1.5, 3.0, 100.0, 1e6, 1e154, 1e200, 1.7e308]
         rows, reports = _sweep_and_single_points(capsys, payload, "eigen_ratio", grid)
     for row, report in zip(rows, reports):
         got = [row["fa"], row["ratio"]] + [row[f"eigenvalue_{i}"] for i in range(1, n + 1)]

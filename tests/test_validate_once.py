@@ -60,6 +60,22 @@ def test_cli_anisotropy_validates_an_asymmetric_peanut_once(capsys, start_counti
     assert counts == {"jacobi_eigh": 1, "validate": 1}
 
 
+@pytest.mark.parametrize("payload, parameter, validations", [
+    ({"kind": "peanut", "n": 3, "A": np.eye(3).tolist()}, "eigen_ratio", 1),
+    ({"kind": "bimodal_vmf", "n": 3, "u": [0, 0, 1], "k": 1}, "k", 1),
+    # the vmf's generic route takes a batch point, which is validated when built
+    ({"kind": "vmf", "n": 3, "u": [0, 0, 1], "k": 1}, "k", 2),
+])
+def test_cli_sweep_builds_no_object_for_the_closed_routes(
+    capsys, start_counting, payload, parameter, validations
+):
+    counts = start_counting()
+    argv = ["sweep", "--dist-json", json.dumps(payload), "--parameter", parameter,
+            "--grid", "0.5,2"]
+    assert cli.main(argv) == 0
+    assert counts["validate"] == validations
+
+
 def test_mc_moments_does_not_revalidate(start_counting):
     dist = distributions.peanut(random_spd(rng_for(6), 5))
     counts = start_counting()
