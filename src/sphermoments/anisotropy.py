@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _is_symmetric, _rescaled
+from .distributions import _is_symmetric, _rescaled, _symmetric_part
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -30,9 +30,8 @@ from .errors import (
 from .moments import (
     _check_concentrations,
     _check_direction,
-    _peanut_moments,
     _vmf_coefficients,
-    bimodal_vmf_moments,
+    closed_form_moments,
     vmf_covariance,
 )
 from .reports import _freeze
@@ -128,16 +127,15 @@ class AnisotropyReport:
 def diffusion_tensor(dist, params):
     """D = (s^2/mu) Var[q] from the closed-form covariance of `dist`."""
     if dist.kind == "vmf":
-        cov = vmf_covariance(dist.k, dist.u)
-    elif dist.kind == "bimodal_vmf":
-        cov = bimodal_vmf_moments(dist.k, dist.u).covariance
-    elif dist.kind == "peanut":
-        cov = _peanut_moments(dist).covariance
+        cov = vmf_covariance(dist.k, dist.u)  # also takes a batch point's k-array
     else:
-        raise UnsupportedError(
-            f"no closed-form covariance for kind {dist.kind!r}; "
-            "use the numerical oracle instead"
-        )
+        report = closed_form_moments(dist)
+        if report is None:
+            raise UnsupportedError(
+                f"no closed-form covariance for kind {dist.kind!r}; "
+                "use the numerical oracle instead"
+            )
+        cov = report.covariance
     return DiffusionTensor(params.factor * cov, params, dist.n)
 
 
@@ -158,8 +156,7 @@ def symmetric_eigen(M):
         raise ValidationError("matrix must be finite")
     if not np.all(_is_symmetric(M)):
         raise ValidationError("matrix is not symmetric")
-    # halves first: M + M^T overflows for entries near the largest double
-    w, V = np.linalg.eigh(0.5 * M + 0.5 * np.swapaxes(M, -1, -2))
+    w, V = np.linalg.eigh(_symmetric_part(M))
     w = w[..., ::-1]
     V = V[..., ::-1]
     # eigenvectors are unit vectors, so each has an entry above _SIGN_TOL

@@ -10,6 +10,7 @@ provides the default --seed.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -185,13 +186,7 @@ def _load_distribution(args):
 
 
 def _closed_form_report(dist):
-    if dist.kind == "vmf":
-        return moments.vmf_moments(dist.k, dist.u)
-    if dist.kind == "bimodal_vmf":
-        return moments.bimodal_vmf_moments(dist.k, dist.u)
-    if dist.kind == "peanut":
-        return moments._peanut_moments(dist)
-    return None
+    return moments.closed_form_moments(dist)
 
 
 def _anisotropy_report(dist, params):
@@ -323,7 +318,7 @@ def cmd_sweep(args):
         if output not in SWEEP_OUTPUTS:
             raise ValueError(f"unknown output {output!r}; choose from {SWEEP_OUTPUTS}")
     if args.parameter == "k":
-        if dist.kind not in ("vmf", "bimodal_vmf"):
+        if "k" not in distributions.FAMILIES[dist.kind]:
             raise ValueError("k sweeps require a vmf or bimodal_vmf distribution")
         if np.any(values < 0):
             raise ValueError("k grid values must be >= 0")
@@ -420,6 +415,7 @@ def cmd_bench(args):
 # ---------------------------------------------------------------------------
 # argument parser
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sphermoments",
@@ -439,7 +435,7 @@ def build_parser():
     )
     _add_dist_arguments(p)
     p.add_argument("--oracle", choices=("none", "quad", "mc"), default="none")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="Monte Carlo sample count (default 10^6)")
     p.add_argument("--resolution", type=int, default=256,
@@ -494,7 +490,7 @@ def build_parser():
         ),
     )
     p.add_argument("--level", choices=("smoke", "full"), default="smoke")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser(
@@ -511,7 +507,7 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=256)
     p.add_argument("--samples", type=int, default=100_000,
                    help="oracle sample count when n > 3")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 
@@ -520,8 +516,9 @@ def build_parser():
 
 def main(argv=None):
     try:
-        # building the parser reads SPHERMOMENTS_SEED, which may be malformed
         args = build_parser().parse_args(argv)
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()  # read on every run; it may be malformed
         return args.func(args)
     except OSError as exc:
         sys.stdout.write(dumps({"error": str(exc)}) + "\n")

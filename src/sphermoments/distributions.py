@@ -16,6 +16,7 @@ from ._linalg import jacobi_eigh
 from .errors import DomainError, ValidationError
 
 __all__ = [
+    "FAMILIES",
     "KINDS",
     "SphericalDistribution",
     "vmf",
@@ -34,7 +35,16 @@ __all__ = [
     "distribution_to_json",
 ]
 
-KINDS = ("vmf", "bimodal_vmf", "peanut", "odf", "bingham")
+# the parameters each family takes besides n
+FAMILIES = {
+    "vmf": ("u", "k"),
+    "bimodal_vmf": ("u", "k"),
+    "peanut": ("A",),
+    "odf": ("A",),
+    "bingham": ("A", "delta"),
+}
+KINDS = tuple(FAMILIES)
+_PARAMETERS = ("u", "k", "A", "delta")
 
 UNIT_NORM_TOL = 1e-12
 
@@ -57,12 +67,12 @@ def _readonly_array(x, dtype=float):
 class SphericalDistribution:
     """Tagged spherical-distribution family.
 
-    ``u`` (unit mean direction) and ``k`` (concentration >= 0) apply to
-    vmf/bimodal_vmf; ``A`` (anisotropy matrix with positive-definite
-    symmetric part) to peanut/odf/bingham; ``delta`` (diffusion time > 0)
-    to bingham only.  Instances are immutable, so :func:`validate` runs once,
-    when one is built, and its violations are kept: building never raises,
-    but every consumer of an object that has any raises ValidationError.
+    ``FAMILIES`` lists the fields each kind takes: ``u`` (unit mean
+    direction), ``k`` (concentration >= 0), ``A`` (anisotropy matrix with
+    positive-definite symmetric part), ``delta`` (diffusion time > 0).
+    Instances are immutable, so :func:`validate` runs once, when one is
+    built, and its violations are kept: building never raises, but every
+    consumer of an object that has any raises ValidationError.
 
     A 1-D array ``k`` (kept as a read-only copy) makes a batch point: one
     vmf or bimodal vMF distribution per entry, which the closed-form
@@ -132,8 +142,18 @@ def _checked(dist):
 
 def _is_symmetric(A):
     """Whether A (or each matrix of a stack) is symmetric to 1e-10 max(1, max|A|)."""
-    gap = np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1))
-    return gap <= 1e-10 * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    half = 0.5 * A  # halves first: A - A^T overflows for entries near the largest double
+    gap = np.max(np.abs(half - np.swapaxes(half, -1, -2)), axis=(-2, -1))
+    return gap <= 0.5e-10 * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+
+
+def _symmetric_part(A):
+    """(A + A^T)/2 of a matrix or a stack of them, rounded once, so that
+    subnormal entries survive; halves first where the sum may overflow."""
+    At = np.swapaxes(A, -1, -2)
+    if np.abs(A).max() < 2.0**1022:
+        return 0.5 * (A + At)
+    return 0.5 * A + 0.5 * At
 
 
 def _rescaled(x, top):
@@ -146,11 +166,6 @@ def _rescaled(x, top):
     return np.ldexp(x, np.where(np.abs(e) > 450, -e, 0))
 
 
-def _expects(kind):
-    has_uk = kind in ("vmf", "bimodal_vmf")
-    return has_uk, not has_uk, kind == "bingham"
-
-
 def validate(dist):
     """Total invariant check; returns a list of violation messages.  Each
     SphericalDistribution runs it once, when it is built, and keeps them."""
@@ -161,14 +176,15 @@ def validate(dist):
     if not isinstance(dist.n, (int, np.integer)) or dist.n < 2:
         out.append("n must be an integer >= 2")
         return out
-    wants_uk, wants_a, wants_delta = _expects(dist.kind)
+    fields = FAMILIES[dist.kind]
+    others = [name for name in _PARAMETERS if name not in fields]
+    if any(getattr(dist, name) is not None for name in others):
+        out.append(f"{dist.kind} takes {' and '.join(fields)} only, not {'/'.join(others)}")
+    if any(getattr(dist, name) is None for name in fields):
+        out.append(f"{dist.kind} requires {' and '.join(fields)}")
+        return out
 
-    if wants_uk:
-        if dist.A is not None or dist.delta is not None:
-            out.append(f"{dist.kind} takes parameters u and k only")
-        if dist.u is None or dist.k is None:
-            out.append(f"{dist.kind} requires u and k")
-            return out
+    if "u" in fields:
         if dist.u.shape != (dist.n,):
             out.append(f"u must have shape ({dist.n},)")
         elif not np.all(np.isfinite(dist.u)):
@@ -183,27 +199,16 @@ def validate(dist):
             out.append("k must be >= 0")
         return out
 
-    if dist.u is not None or dist.k is not None:
-        out.append(f"{dist.kind} takes an anisotropy matrix, not u/k")
-    if wants_delta:
-        if dist.delta is None:
-            out.append("bingham requires delta")
-        elif not math.isfinite(dist.delta) or dist.delta <= 0.0:
-            out.append("delta must be finite and > 0")
-    elif dist.delta is not None:
-        out.append(f"{dist.kind} does not take delta")
-    if dist.A is None:
-        out.append(f"{dist.kind} requires an anisotropy matrix A")
-        return out
+    if dist.delta is not None and not (math.isfinite(dist.delta) and dist.delta > 0.0):
+        out.append("delta must be finite and > 0")
     if dist.A.shape != (dist.n, dist.n):
         out.append(f"A must have shape ({dist.n}, {dist.n})")
         return out
     if not np.all(np.isfinite(dist.A)):
         out.append("A must be finite")
         return out
-    # halves first, as dist.A + dist.A.T may overflow; the signs checked here
-    # do not depend on the scale, and the solver squares entries
-    sym = 0.5 * dist.A + 0.5 * dist.A.T
+    # the signs checked here do not depend on the scale, and the solver squares entries
+    sym = _symmetric_part(dist.A)
     sym = _rescaled(sym, np.abs(sym).max())
     eigenvalues, _ = jacobi_eigh(sym)
     if eigenvalues.min() <= 0.0:
@@ -300,14 +305,11 @@ def log_density(dist, theta):
     return float(log_density_many(dist, theta)[0])
 
 
-_JSON_FIELDS = ("kind", "n", "u", "k", "A", "delta")
-
-
 def distribution_from_json(data):
     """Build a distribution from its JSON dict; unknown fields rejected."""
     if not isinstance(data, dict):
         raise ValidationError("distribution JSON must be an object")
-    unknown = sorted(set(data) - set(_JSON_FIELDS))
+    unknown = sorted(set(data) - {"kind", "n", *_PARAMETERS})
     if unknown:
         raise ValidationError(f"unknown fields in distribution JSON: {unknown}")
     if "kind" not in data or "n" not in data:
@@ -319,14 +321,7 @@ def distribution_from_json(data):
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValidationError("'n' must be an integer")
     try:
-        dist = SphericalDistribution(
-            kind,
-            n,
-            u=data.get("u"),
-            k=data.get("k"),
-            A=data.get("A"),
-            delta=data.get("delta"),
-        )
+        dist = SphericalDistribution(kind, n, **{name: data.get(name) for name in _PARAMETERS})
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed distribution parameters: {exc}") from exc
     return _checked(dist)
@@ -335,12 +330,6 @@ def distribution_from_json(data):
 def distribution_to_json(dist):
     """JSON dict for a distribution (inverse of distribution_from_json)."""
     out = {"kind": dist.kind, "n": int(dist.n)}
-    if dist.u is not None:
-        out["u"] = [float(v) for v in dist.u]
-    if dist.k is not None:
-        out["k"] = float(dist.k)
-    if dist.A is not None:
-        out["A"] = [[float(v) for v in row] for row in dist.A]
-    if dist.delta is not None:
-        out["delta"] = float(dist.delta)
+    for name in FAMILIES[dist.kind]:
+        out[name] = np.asarray(getattr(dist, name)).tolist()
     return out

@@ -28,6 +28,7 @@ __all__ = [
     "vmf_moments",
     "bimodal_vmf_moments",
     "peanut_moments",
+    "closed_form_moments",
     "odd_moments_zero_check",
 ]
 
@@ -161,7 +162,16 @@ def _peanut_moments(dist):
     return MomentReport(np.zeros(n), second, second, "closed_form")
 
 
-_SYMMETRIC_KINDS = ("peanut", "odf", "bingham", "bimodal_vmf")
+def closed_form_moments(dist):
+    """The closed-form MomentReport of a distribution, or None for the
+    families that have none (odf, bingham)."""
+    if dist.kind == "vmf":
+        return vmf_moments(dist.k, dist.u)
+    if dist.kind == "bimodal_vmf":
+        return bimodal_vmf_moments(dist.k, dist.u)
+    if dist.kind == "peanut":
+        return _peanut_moments(dist)
+    return None
 
 
 def odd_moments_zero_check(dist, order, *, seed, samples=10_000, resolution=256):
@@ -181,8 +191,6 @@ def odd_moments_zero_check(dist, order, *, seed, samples=10_000, resolution=256)
             "vmf with k > 0 has a nonzero first moment; odd-moment check "
             "applies to antipodally symmetric distributions"
         )
-    if dist.kind not in _SYMMETRIC_KINDS and not (dist.kind == "vmf" and dist.k == 0):
-        raise UnsupportedError(f"odd-moment check not defined for kind {dist.kind!r}")
     if dist.n <= 3:
         spec = oracle.QuadratureSpec.for_dimension(dist.n, resolution)
         tensor = oracle.quad_raw_moment(dist, spec, order)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from sphermoments import cli
+from sphermoments import cli, distributions
 
 PEANUT31 = '{"kind":"peanut","n":2,"A":[[3,0],[0,1]]}'
 VMF3 = '{"kind":"vmf","n":3,"u":[1,0,0],"k":2}'
@@ -254,6 +254,27 @@ def test_peanut_eigenvalue_overflow_is_domain_error(capsys):
     assert "overflows a double" in json.loads(out)["error"]
 
 
+def test_asymmetric_peanut_near_the_largest_double(capsys):
+    # A - A^T overflows here; pytest turns the RuntimeWarning into an error
+    dist = '{"kind":"peanut","n":2,"A":[[1.7e308,1e308],[-1e308,1]]}'
+    code, out = run_cli(capsys, "anisotropy", "--dist-json", dist)
+    assert code == 0
+    report = json.loads(out)
+    assert report["eigenvalues"] == [0.75, 0.25]
+    assert report["fa"] == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-15)
+
+
+def test_peanut_keeps_a_subnormal_eigenvalue(capsys):
+    # A = diag(1, 5e-324) is positive definite; (A + A^T)/2 must keep 5e-324
+    dist = '{"kind":"peanut","n":2,"A":[[1,0],[0,5e-324]]}'
+    code, out = run_cli(capsys, "anisotropy", "--dist-json", dist)
+    assert code == 0
+    assert json.loads(out)["fa"] == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-15)
+    code, out = run_cli(capsys, "moments", "--dist-json", dist)
+    assert code == 0
+    assert json.loads(out)["closed_form"]["covariance"] == [[0.75, 0], [0, 0.25]]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -474,6 +495,10 @@ def test_malformed_seed_env_variable_is_input_error(capsys, monkeypatch):
     assert "SPHERMOMENTS_SEED" in json.loads(out)["error"]
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -578,6 +603,111 @@ def test_moments_vmf_zero_concentration_golden_output(capsys):
         f'"second_moment": {identity}, "covariance": {identity}, '
         '"source": "closed_form"}}\n'
     )
+
+
+ODF3 = '{"kind":"odf","n":3,"A":[[2,0.3,0],[0.3,1,0.1],[0,0.1,0.5]]}'
+MOMENTS_GOLDEN = {
+    "vmf": (
+        ("--dist-json", '{"kind":"vmf","n":3,"u":[0.6,-0.8,0],"k":2.5}'),
+        '{"schema": "1", "closed_form": {"mean": [0.3681403858875652, -0.49085384785008696, 0], '
+        '"second_moment": [[0.34036584608599663, -0.12658522954793755, 0], '
+        '[-0.12658522954793755, 0.4142072299889602, 0], [0, 0, 0.24542692392504345]], '
+        '"covariance": [[0.2048385023645512, 0.054117895413989675, 0], '
+        '[0.054117895413989675, 0.17326973003972387, 0], [0, 0, 0.24542692392504345]], '
+        '"source": "closed_form"}}\n',
+    ),
+    "bimodal_vmf": (
+        ("--dist-json", '{"kind":"bimodal_vmf","n":3,"u":[0,0.6,0.8],"k":7}'),
+        '{"schema": "1", "closed_form": {"mean": [0, 0, 0], '
+        '"second_moment": [[0.12244921717166825, 0, 0], '
+        '[0, 0.35020406262626635, 0.30367312727279744], '
+        '[0, 0.30367312727279744, 0.52734672020206497]], '
+        '"covariance": [[0.12244921717166825, 0, 0], '
+        '[0, 0.35020406262626635, 0.30367312727279744], '
+        '[0, 0.30367312727279744, 0.52734672020206497]], "source": "closed_form"}}\n',
+    ),
+    # no closed form: null, and no deviation next to the oracle
+    "odf": (
+        ("--dist-json", ODF3, "--oracle", "quad", "--resolution", "32"),
+        '{"schema": "1", "closed_form": null, "oracle": {"mean": [-4.5085022683504644e-17, '
+        '-8.8976575944327979e-18, 1.951563910473908e-17], '
+        '"second_moment": [[0.47472213522885653, 0.04675155156460515, -0.0015251533484892082], '
+        '[0.04675155156460515, 0.3183752455136406, 0.023209617261801676], '
+        '[-0.001525153348489206, 0.023209617261801676, 0.20690261924627223]], '
+        '"covariance": [[0.47472213522885653, 0.04675155156460515, -0.0015251533484892082], '
+        '[0.04675155156460515, 0.3183752455136406, 0.023209617261801676], '
+        '[-0.001525153348489206, 0.023209617261801676, 0.20690261924627223]], '
+        '"source": "oracle", "provenance": {"method": "sphere_product", "resolution": 32, '
+        '"mass": 0.99999999998876987}}, "max_abs_dev": null}\n',
+    ),
+    "bingham": (
+        ("--dist-json",
+         '{"kind":"bingham","n":3,"A":[[3,0,0],[0,1,0.2],[0,0.2,0.5]],"delta":0.4}'),
+        '{"schema": "1", "closed_form": null}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MOMENTS_GOLDEN))
+def test_moments_golden_output_by_kind(capsys, kind):
+    argv, expected = MOMENTS_GOLDEN[kind]
+    code, out = run_cli(capsys, "moments", *argv)
+    assert code == 0
+    assert out == expected
+
+
+ANISOTROPY_GOLDEN = {
+    # the generic route: vmf_covariance, then the eigensolve
+    "vmf_n5": (
+        '{"kind":"vmf","n":5,"u":[0.2,-0.4,0.4,0.8,0],"k":7}',
+        '{"schema": "1", "eigenvalues": [0.2545667605900257, 0.25456676059002564, '
+        '0.25456676059002564, 0.25456676059002564, 0.080761109211191798], "fa": null, '
+        '"ratio": 3.1520958921493873, "bounds": {"fa_max": 1}, '
+        '"bound_flags": {"fa_max": true}}\n',
+    ),
+    # the generic route: the peanut's closed-form covariance symmetrizes A
+    "asymmetric_peanut": (
+        '{"kind":"peanut","n":3,"A":[[2,0.5,-0.3],[-0.1,1,0.4],[0.2,-0.2,0.7]]}',
+        '{"schema": "1", "eigenvalues": [1.0150968524404056, 0.74386100386100384, '
+        '0.65532785798430537], "fa": 0.22883276901028113, "ratio": 1.5489908449225676, '
+        '"bounds": {"fa3_max": 0.603022689156, "r_max": 3}, '
+        '"bound_flags": {"fa3_max": true, "r_max": true}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANISOTROPY_GOLDEN))
+def test_anisotropy_generic_route_golden_output(capsys, case):
+    dist, expected = ANISOTROPY_GOLDEN[case]
+    code, out = run_cli(capsys, "anisotropy", "--s", "1.3", "--mu", "0.7", "--dist-json", dist)
+    assert code == 0
+    assert out == expected
+
+
+FAMILY_VALUES = {
+    "u": [0.6, -0.8, 0.0],
+    "k": 2.5,
+    "A": [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]],
+    "delta": 0.4,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(distributions.FAMILIES))
+def test_family_table_round_trip_and_presence(capsys, kind):
+    fields = distributions.FAMILIES[kind]
+    payload = {"kind": kind, "n": 3, **{name: FAMILY_VALUES[name] for name in fields}}
+    dist = distributions.distribution_from_json(payload)
+    assert distributions.distribution_to_json(dist) == payload
+    extra = next(name for name in FAMILY_VALUES if name not in fields)
+    code, out = run_cli(capsys, "moments", "--dist-json",
+                        json.dumps({**payload, extra: FAMILY_VALUES[extra]}))
+    assert code == 2
+    assert f"{kind} takes {' and '.join(fields)} only" in json.loads(out)["error"]
+    for missing in fields:
+        partial = {key: value for key, value in payload.items() if key != missing}
+        code, out = run_cli(capsys, "moments", "--dist-json", json.dumps(partial))
+        assert code == 2
+        assert f"{kind} requires" in json.loads(out)["error"]
 
 
 SWEEP_GOLDEN_HEADER = "parameter,value,fa,ratio,eigenvalue_1,eigenvalue_2,eigenvalue_3,mean_norm\n"
