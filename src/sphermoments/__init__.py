@@ -37,7 +37,6 @@ from .moments import (
 )
 from .oracle import (
     McSpec,
-    QuadratureSpec,
     mc_moments,
     quad_moments,
     sample_peanut,

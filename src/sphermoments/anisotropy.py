@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _is_symmetric, _rescaled, _symmetric_part
+from .distributions import _checked, _is_symmetric, _rescaled, _symmetric_part
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -127,6 +127,8 @@ class AnisotropyReport:
 def diffusion_tensor(dist, params):
     """D = (s^2/mu) Var[q] from the closed-form covariance of `dist`."""
     if dist.kind == "vmf":
+        if not isinstance(dist.k, np.ndarray):  # a batch point's u was checked already
+            _checked(dist)
         cov = vmf_covariance(dist.k, dist.u)  # also takes a batch point's k-array
     else:
         report = closed_form_moments(dist)

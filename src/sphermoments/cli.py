@@ -190,6 +190,7 @@ def _closed_form_report(dist):
 
 
 def _anisotropy_report(dist, params):
+    distributions._checked(dist)
     if dist.kind == "bimodal_vmf":
         return anisotropy.vmf_closed_form_report(dist.k, dist.u, params)
     if dist.kind == "peanut" and np.all(distributions._is_symmetric(dist.A)):
@@ -384,10 +385,8 @@ def cmd_bench(args):
         closed_s.append(_time_per_call(lambda: moments.vmf_covariance(k, u), args.repeats))
         dist = distributions.vmf(u, k)
         if n <= 3:
-            spec = oracle.QuadratureSpec.for_dimension(n, args.resolution)
-
             def run_oracle():
-                oracle.quad_moments(dist, spec, check=False)
+                oracle.quad_moments(dist, resolution=args.resolution, check=False)
 
         else:
             mc_spec = oracle.McSpec(n, args.samples, args.seed)

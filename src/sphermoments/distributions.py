@@ -320,9 +320,20 @@ def distribution_from_json(data):
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValidationError("'n' must be an integer")
+    params = {name: data.get(name) for name in _PARAMETERS}
+    for name, value in params.items():
+        # float() and np.array(..., dtype=float) read "2" and true as numbers.  A
+        # list leaf is nested too deep for u or A: a shape error, reported when built
+        leaves = set()
+        for row in value if type(value) is list else (value,):
+            leaves.update(map(type, row) if type(row) is list else (type(row),))
+        odd = leaves - {int, float, list}
+        if value is not None and odd:
+            got = ", ".join(sorted(t.__name__ for t in odd))
+            raise ValidationError(f"{name} must hold numbers only, got {got}")
     try:
-        dist = SphericalDistribution(kind, n, **{name: data.get(name) for name in _PARAMETERS})
-    except (TypeError, ValueError) as exc:
+        dist = SphericalDistribution(kind, n, **params)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed distribution parameters: {exc}") from exc
     return _checked(dist)
 

@@ -150,28 +150,23 @@ def peanut_moments(A):
     The covariance depends on A only through its symmetric part, so
     asymmetric input with positive-definite symmetric part is accepted.
     """
-    return _peanut_moments(_peanut(A))
-
-
-def _peanut_moments(dist):
-    """``peanut_moments`` of a peanut distribution, checked when it was built."""
-    A = _checked(dist).A
-    A = _rescaled(A, np.abs(A).max())  # the moments do not depend on the scale of A
-    n = dist.n
-    second = np.eye(n) / (n + 2) + (A + A.T) / ((n + 2) * np.trace(A))
-    return MomentReport(np.zeros(n), second, second, "closed_form")
+    return closed_form_moments(_peanut(A))
 
 
 def closed_form_moments(dist):
     """The closed-form MomentReport of a distribution, or None for the
     families that have none (odf, bingham)."""
+    _checked(dist)
     if dist.kind == "vmf":
         return vmf_moments(dist.k, dist.u)
     if dist.kind == "bimodal_vmf":
         return bimodal_vmf_moments(dist.k, dist.u)
-    if dist.kind == "peanut":
-        return _peanut_moments(dist)
-    return None
+    if dist.kind != "peanut":
+        return None
+    A = _rescaled(dist.A, np.abs(dist.A).max())  # the moments do not depend on the scale of A
+    n = dist.n
+    second = np.eye(n) / (n + 2) + (A + A.T) / ((n + 2) * np.trace(A))
+    return MomentReport(np.zeros(n), second, second, "closed_form")
 
 
 def odd_moments_zero_check(dist, order, *, seed, samples=10_000, resolution=256):
@@ -192,8 +187,7 @@ def odd_moments_zero_check(dist, order, *, seed, samples=10_000, resolution=256)
             "applies to antipodally symmetric distributions"
         )
     if dist.n <= 3:
-        spec = oracle.QuadratureSpec.for_dimension(dist.n, resolution)
-        tensor = oracle.quad_raw_moment(dist, spec, order)
+        tensor = oracle.quad_raw_moment(dist, order, resolution=resolution)
     else:
         tensor, _ = oracle.mc_raw_moment(dist, oracle.McSpec(dist.n, samples, seed), order)
     return float(np.max(np.abs(tensor)))

@@ -25,7 +25,6 @@ from .reports import MomentReport
 __all__ = [
     "GENERATOR",
     "BLOCK_SIZE",
-    "QuadratureSpec",
     "McSpec",
     "SampleBatch",
     "quad_moments",
@@ -45,48 +44,11 @@ BLOCK_SIZE = 1 << 16
 DOUBLING_TOL = 1e-10
 
 
-def _is_power_of_two(m):
-    return m > 0 and (m & (m - 1)) == 0
-
-
 def _check_count(count, name="count"):
     """A sample or point count: an integer >= 1 (bools rejected)."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
     return int(count)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Deterministic quadrature rule selector.
-
-    ``resolution`` is the number of points per dimension and must be a
-    power of two >= 16 (the periodic trapezoid rule doubles cleanly and
-    converges spectrally on those grids).
-    """
-
-    n: int
-    scheme: str
-    resolution: int = 256
-
-    def __post_init__(self):
-        if self.scheme not in ("circle_trapezoid", "sphere_product"):
-            raise ValidationError(f"unknown quadrature scheme {self.scheme!r}")
-        expected_n = 2 if self.scheme == "circle_trapezoid" else 3
-        if self.n != expected_n:
-            raise ValidationError(
-                f"scheme {self.scheme!r} applies to n={expected_n}, got n={self.n}"
-            )
-        if self.resolution < 16 or not _is_power_of_two(self.resolution):
-            raise ValidationError("resolution must be a power of two >= 16")
-
-    @staticmethod
-    def for_dimension(n, resolution=256):
-        if n == 2:
-            return QuadratureSpec(2, "circle_trapezoid", resolution)
-        if n == 3:
-            return QuadratureSpec(3, "sphere_product", resolution)
-        raise UnsupportedError(f"quadrature supports n in {{2, 3}}, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -107,20 +69,27 @@ class McSpec:
             raise ValidationError("seed must be an integer")
 
 
-@lru_cache(maxsize=8)
-def _circle_nodes(resolution):
+# the rule for each dimension the quadrature supports
+_RULES = {2: "circle_trapezoid", 3: "sphere_product"}
+
+
+@lru_cache(maxsize=8, typed=True)  # typed: 16.0 must not hit the entry for 16
+def _nodes(n, resolution):
+    """Points and weights of the rule for S^{n-1} at ``resolution`` points
+    per dimension, a power of two >= 16 (the periodic trapezoid rule
+    doubles cleanly and converges spectrally on those grids)."""
+    if n not in _RULES:
+        raise UnsupportedError(f"quadrature supports n in {{2, 3}}, got n={n}")
+    if (isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer))
+            or resolution < 16 or resolution & (resolution - 1)):
+        raise ValidationError("resolution must be a power of two >= 16")
     phi = np.arange(resolution) * (2.0 * math.pi / resolution)
-    points = np.column_stack([np.cos(phi), np.sin(phi)])
-    weights = np.full(resolution, 2.0 * math.pi / resolution)
-    return points, weights
-
-
-@lru_cache(maxsize=8)
-def _sphere_nodes(resolution):
+    if n == 2:
+        points = np.column_stack([np.cos(phi), np.sin(phi)])
+        return points, np.full(resolution, 2.0 * math.pi / resolution)
     # cos(polar) at Gauss-Legendre nodes makes degree<2*resolution
     # polynomial integrands (e.g. the peanut moments) exact
     t, wt = np.polynomial.legendre.leggauss(resolution)
-    phi = np.arange(resolution) * (2.0 * math.pi / resolution)
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     x = np.outer(s, np.cos(phi)).ravel()
     y = np.outer(s, np.sin(phi)).ravel()
@@ -128,12 +97,6 @@ def _sphere_nodes(resolution):
     points = np.column_stack([x, y, z])
     weights = np.repeat(wt, resolution) * (2.0 * math.pi / resolution)
     return points, weights
-
-
-def _nodes(spec):
-    if spec.scheme == "circle_trapezoid":
-        return _circle_nodes(spec.resolution)
-    return _sphere_nodes(spec.resolution)
 
 
 def _raw_from_nodes(dist, points, weights, orders):
@@ -160,29 +123,25 @@ def _check_spec_matches(dist, spec):
         )
 
 
-def quad_moments(dist, spec=None, *, resolution=256, check=True):
+def quad_moments(dist, *, resolution=256, check=True):
     """Mean, raw second moment and covariance by deterministic quadrature.
 
-    With ``check=True`` the rule is re-evaluated at double resolution and
-    a warning is attached to the report when the two disagree by more
-    than ``DOUBLING_TOL``.
+    The rule follows from ``dist.n``.  With ``check=True`` it is re-evaluated
+    at double resolution and a warning is attached to the report when the two
+    disagree by more than ``DOUBLING_TOL``.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_dimension(dist.n, resolution)
-    _check_spec_matches(dist, spec)
-    points, weights = _nodes(spec)
+    points, weights = _nodes(dist.n, resolution)
     raw = _raw_from_nodes(dist, points, weights, (0, 1, 2))
     warnings = []
     if check:
-        fine = QuadratureSpec(spec.n, spec.scheme, 2 * spec.resolution)
-        raw_fine = _raw_from_nodes(dist, *_nodes(fine), (1, 2))
+        raw_fine = _raw_from_nodes(dist, *_nodes(dist.n, 2 * resolution), (1, 2))
         dev = max(
             np.max(np.abs(raw[1] - raw_fine[1])),
             np.max(np.abs(raw[2] - raw_fine[2])),
         )
         if dev >= DOUBLING_TOL:
             warnings.append(
-                f"doubling resolution {spec.resolution}->{2 * spec.resolution} "
+                f"doubling resolution {resolution}->{2 * resolution} "
                 f"changed results by {dev:.3e}"
             )
     mean = raw[1]
@@ -193,26 +152,23 @@ def quad_moments(dist, spec=None, *, resolution=256, check=True):
         second - np.outer(mean, mean),
         "oracle",
         provenance={
-            "method": spec.scheme,
-            "resolution": spec.resolution,
+            "method": _RULES[dist.n],
+            "resolution": int(resolution),
             "mass": raw[0],
         },
         warnings=warnings,
     )
 
 
-def quad_raw_moment(dist, spec, order):
+def quad_raw_moment(dist, order, *, resolution=256):
     """Raw moment tensor of the given order by deterministic quadrature."""
-    _check_spec_matches(dist, spec)
-    points, weights = _nodes(spec)
+    points, weights = _nodes(dist.n, resolution)
     return _raw_from_nodes(dist, points, weights, (order,))[order]
 
 
-def quad_normalization(dist, spec=None, *, resolution=256):
+def quad_normalization(dist, *, resolution=256):
     """Integral of the density over the sphere (should be 1)."""
-    if spec is None:
-        spec = QuadratureSpec.for_dimension(dist.n, resolution)
-    return quad_raw_moment(dist, spec, 0)
+    return quad_raw_moment(dist, 0, resolution=resolution)
 
 
 def _block_counts(samples):

@@ -656,6 +656,55 @@ def test_moments_golden_output_by_kind(capsys, kind):
     assert out == expected
 
 
+QUAD_GOLDEN = {
+    # one case per rule; 256 nodes cannot resolve the spike, so doubling warns
+    "circle_trapezoid": (
+        '{"kind":"vmf","n":2,"u":[1,0],"k":5000}',
+        '{"schema": "1", "closed_form": {"mean": [0.99989999499899951, 0], '
+        '"second_moment": [[0.99980002000100032, 0], [0, 0.00019997999899979991]], '
+        '"covariance": [[2.0002001055452467e-08, 0], [0, 0.00019997999899979991]], '
+        '"source": "closed_form"}, "oracle": {"mean": [1.0027556114414171, '
+        '-2.4286128663675299e-17], "second_moment": [[1.0026590906414332, '
+        '-2.4719809532669501e-17], [-2.4286128663675299e-17, 0.00019307434284484529]], '
+        '"covariance": [[-0.0028597256358171563, -3.6675773498084994e-19], '
+        '[6.6923134013351834e-20, 0.00019307434284484529]], "source": "oracle", '
+        '"provenance": {"method": "circle_trapezoid", "resolution": 256, '
+        '"mass": 1.0028521649842781}, '
+        '"warnings": ["doubling resolution 256->512 changed results by 2.859e-03"]}, '
+        '"max_abs_dev": 0.0028597456378182118}\n',
+    ),
+    "sphere_product": (
+        '{"kind":"peanut","n":3,"A":[[2,0.5,-0.3],[-0.1,1,0.4],[0.2,-0.2,0.7]]}',
+        '{"schema": "1", "closed_form": {"mean": [0, 0, 0], '
+        '"second_moment": [[0.41621621621621624, 0.021621621621621623, '
+        '-0.005405405405405404], [0.021621621621621623, 0.30810810810810813, '
+        '0.010810810810810811], [-0.005405405405405404, 0.010810810810810811, '
+        '0.27567567567567569]], "covariance": [[0.41621621621621624, 0.021621621621621623, '
+        '-0.005405405405405404], [0.021621621621621623, 0.30810810810810813, '
+        '0.010810810810810811], [-0.005405405405405404, 0.010810810810810811, '
+        '0.27567567567567569]], "source": "closed_form"}, '
+        '"oracle": {"mean": [-3.4302763517135637e-17, 1.9515708161395531e-17, '
+        '1.5534107796611038e-17], "second_moment": [[0.41621621621622157, '
+        '0.021621621621621685, -0.0054054054054054465], [0.021621621621621685, '
+        '0.30810810810810929, 0.010810810810810877], [-0.005405405405405443, '
+        '0.010810810810810877, 0.27567567567567586]], "covariance": [[0.41621621621622157, '
+        '0.021621621621621685, -0.0054054054054054465], [0.021621621621621685, '
+        '0.30810810810810929, 0.010810810810810877], [-0.005405405405405443, '
+        '0.010810810810810877, 0.27567567567567586]], "source": "oracle", '
+        '"provenance": {"method": "sphere_product", "resolution": 256, '
+        '"mass": 1.0000000000000004}}, "max_abs_dev": 5.3290705182007514e-15}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(QUAD_GOLDEN))
+def test_moments_quadrature_golden_output(capsys, rule):
+    dist, expected = QUAD_GOLDEN[rule]
+    code, out = run_cli(capsys, "moments", "--oracle", "quad", "--dist-json", dist)
+    assert code == 0
+    assert out == expected
+
+
 ANISOTROPY_GOLDEN = {
     # the generic route: vmf_covariance, then the eigensolve
     "vmf_n5": (

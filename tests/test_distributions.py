@@ -324,6 +324,23 @@ def test_json_rejects_missing_and_malformed():
         d.distribution_from_json({"kind": "vmf", "n": 2, "u": [1, 0], "k": [1, 2]})
     with pytest.raises(ValidationError):
         d.vmf(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
+    # strings and booleans are not JSON numbers, even where float() reads them
+    bingham = {"kind": "bingham", "n": 3, "A": np.eye(3).tolist(), "delta": 0.4}
+    for payload, field in (
+        ({"kind": "vmf", "n": 2, "u": ["1", "0"], "k": 2}, "u"),
+        ({"kind": "vmf", "n": 2, "u": [1, 0], "k": "2"}, "k"),
+        ({"kind": "vmf", "n": 2, "u": [1, 0], "k": True}, "k"),
+        ({"kind": "vmf", "n": 2, "u": [1, False], "k": 2}, "u"),
+        ({"kind": "peanut", "n": 2, "A": [["3", 0], [0, "1e0"]]}, "A"),
+        ({"kind": "peanut", "n": 2, "A": [[3, None], [0, 1]]}, "A"),
+        (dict(bingham, delta=True), "delta"),
+        (dict(bingham, delta={"value": 0.4}), "delta"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{field} must hold numbers only"):
+            d.distribution_from_json(payload)
+    # an int beyond the double range is malformed input, not a crash
+    with pytest.raises(ValidationError, match="malformed"):
+        d.distribution_from_json({"kind": "vmf", "n": 2, "u": [1, 0], "k": 10**400})
 
 
 def test_distribution_parameters_are_immutable():

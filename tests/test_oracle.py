@@ -12,22 +12,18 @@ from util import random_spd, random_unit, rng_for
 
 
 # ---------------------------------------------------------------------------
-# spec validation
+# spec and resolution validation
 
 
-def test_quadrature_spec_validation():
+def test_quadrature_resolution_validation():
+    # a power of two >= 16, given as an integer; the rule follows from dist.n
+    dist = d.vmf([1.0, 0.0], 1.0)
+    oracle.quad_moments(dist, resolution=16)  # 16.0 must not be served from this cache entry
+    for resolution in (100, 8, 16.0, True, "256"):
+        with pytest.raises(ValidationError, match="resolution must be a power of two >= 16"):
+            oracle.quad_moments(dist, resolution=resolution)
     with pytest.raises(ValidationError):
-        oracle.QuadratureSpec(2, "circle_trapezoid", 100)  # not a power of two
-    with pytest.raises(ValidationError):
-        oracle.QuadratureSpec(2, "circle_trapezoid", 8)  # too coarse
-    with pytest.raises(ValidationError):
-        oracle.QuadratureSpec(3, "circle_trapezoid", 256)  # scheme/n mismatch
-    with pytest.raises(ValidationError):
-        oracle.QuadratureSpec(2, "lebedev", 256)
-    with pytest.raises(UnsupportedError):
-        oracle.QuadratureSpec.for_dimension(4)
-    spec = oracle.QuadratureSpec.for_dimension(3, 64)
-    assert spec.scheme == "sphere_product"
+        oracle.quad_normalization(dist, resolution=8)
 
 
 def test_mc_spec_validation():
@@ -42,10 +38,7 @@ def test_mc_spec_validation():
 
 
 def test_quad_dimension_mismatch():
-    dist = d.vmf([1.0, 0.0], 1.0)
-    with pytest.raises(ValidationError):
-        oracle.quad_moments(dist, oracle.QuadratureSpec.for_dimension(3))
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(UnsupportedError, match="quadrature supports n in"):
         oracle.quad_moments(d.vmf(random_unit(rng_for(0), 4), 1.0))
 
 
@@ -70,12 +63,8 @@ def test_quad_resolution_self_consistency():
         d.bimodal_vmf(random_unit(rng, 2), 15.0),
     ]
     for dist in dists:
-        coarse = oracle.quad_moments(
-            dist, oracle.QuadratureSpec.for_dimension(dist.n, 128), check=False
-        )
-        fine = oracle.quad_moments(
-            dist, oracle.QuadratureSpec.for_dimension(dist.n, 256), check=False
-        )
+        coarse = oracle.quad_moments(dist, resolution=128, check=False)
+        fine = oracle.quad_moments(dist, resolution=256, check=False)
         assert np.max(np.abs(coarse.second_moment - fine.second_moment)) < 1e-10
         assert np.max(np.abs(coarse.mean - fine.mean)) < 1e-10
 
@@ -89,8 +78,7 @@ def test_quad_doubling_check_flags_unresolved_density():
 
 
 def test_quad_peanut_third_moment_vanishes():
-    spec = oracle.QuadratureSpec.for_dimension(2)
-    tensor = oracle.quad_raw_moment(d.peanut(np.diag([3.0, 1.0])), spec, 3)
+    tensor = oracle.quad_raw_moment(d.peanut(np.diag([3.0, 1.0])), 3)
     assert tensor.shape == (2, 2, 2)
     assert np.max(np.abs(tensor)) < 1e-12
 
@@ -323,6 +311,9 @@ def test_report_provenance_fields():
     quad = oracle.quad_moments(d.peanut(np.eye(2)))
     assert quad.provenance["method"] == "circle_trapezoid"
     assert quad.provenance["resolution"] == 256
+    quad = oracle.quad_moments(d.vmf([0.0, 0.0, 1.0], 1.0), resolution=np.int64(64))
+    assert quad.provenance["method"] == "sphere_product"
+    assert type(quad.provenance["resolution"]) is int and quad.provenance["resolution"] == 64
     mc = oracle.mc_moments(d.peanut(np.eye(2)), oracle.McSpec(2, 10_000, 1))
     for key in ("method", "samples", "seed", "generator"):
         assert key in mc.provenance

@@ -6,12 +6,13 @@ re-validation made through a name imported into another module counts too.
 """
 
 import json
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from sphermoments import _linalg, anisotropy, cli, distributions, oracle
+from sphermoments import _linalg, anisotropy, cli, distributions, moments, oracle
 from sphermoments.errors import ValidationError
 
 from util import random_spd, rng_for
@@ -93,13 +94,24 @@ def test_sample_peanut_validates_once(start_counting):
 def test_directly_built_invalid_object_raises_in_every_consumer():
     dist = distributions.SphericalDistribution("peanut", 2, A=np.diag([1.0, -2.0]))
     assert dist._violations == ("A not positive definite", "A must have positive trace")
-    consumers = (
-        lambda: distributions.density(dist, [1.0, 0.0]),
-        lambda: distributions.log_density(dist, [1.0, 0.0]),
-        lambda: anisotropy.diffusion_tensor(dist, anisotropy.MotilityParams(1.0, 1.0)),
-        lambda: oracle.quad_moments(dist, check=False),
-        lambda: cli._closed_form_report(dist),
-    )
-    for consume in consumers:
-        with pytest.raises(ValidationError, match="A not positive definite"):
-            consume()
+    with pytest.raises(ValidationError, match="A not positive definite"):
+        oracle.quad_moments(dist, check=False)
+    # a unit 3-vector u at n = 4: only the kept violation stops the 3x3 closed forms
+    cases = [dist] + [
+        distributions.SphericalDistribution(kind, 4, u=[1.0, 0.0, 0.0], k=2.0)
+        for kind in ("vmf", "bimodal_vmf")
+    ]
+    params = anisotropy.MotilityParams(1.0, 1.0)
+    for dist in cases:
+        consumers = (
+            lambda: distributions.density(dist, [1.0, 0.0]),
+            lambda: distributions.log_density(dist, [1.0, 0.0]),
+            lambda: anisotropy.diffusion_tensor(dist, params),
+            lambda: anisotropy.anisotropy_report(dist, params),
+            lambda: moments.closed_form_moments(dist),
+            lambda: cli._closed_form_report(dist),
+            lambda: cli._anisotropy_report(dist, params),
+        )
+        for consume in consumers:
+            with pytest.raises(ValidationError, match=re.escape(dist._violations[0])):
+                consume()
