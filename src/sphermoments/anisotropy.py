@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _checked, _is_symmetric, _rescaled, _symmetric_part
+from .distributions import _checked, _is_symmetric, _moderate, _rescaled, _symmetric_part
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -122,6 +122,9 @@ class AnisotropyReport:
     @property
     def bounds_satisfied(self):
         return all(np.all(flag) for flag in self.bound_flags.values())
+
+
+_UNIT_MOTILITY = MotilityParams(1.0, 1.0)  # s^2/mu = 1: D is the covariance
 
 
 def diffusion_tensor(dist, params):
@@ -298,20 +301,25 @@ def vmf_closed_form_report(k, u, params):
     """
     u = _check_direction(u)
     n = u.size
-    _, alpha, beta = _vmf_coefficients(n, _check_concentrations(k), params.factor)
+    k = _check_concentrations(k)
+    _, alpha, beta = _vmf_coefficients(n, k, params.factor)
     eigenvalues = np.repeat(np.asarray(alpha)[..., None], n, axis=-1)
     eigenvalues[..., 0] += beta
-    a, b = (_rescaled(c, alpha + beta) for c in (alpha, beta))
-    # alpha = beta = 0 only by underflow; FA is then 0 and the ratio +inf.
-    # np.divide, since a number k gives Python floats, which raise on x/0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if n == 2:
-            fa = np.where(b == 0.0, 0.0, b / _hypot(a + b, a))
-        elif n == 3:
-            fa = np.where(b == 0.0, 0.0, b / np.sqrt(_square(a + b) + 2.0 * a * a))
-        else:
-            fa = None
-        ratio = np.where(alpha == 0.0, math.inf, 1.0 + np.divide(beta, alpha))
+    a, b = alpha, beta
+    if not _moderate(params.factor):
+        # FA and the ratio do not depend on s^2/mu, and scaled coefficients
+        # that are subnormal or huge lose bits: take them from unscaled ones
+        _, a, b = _vmf_coefficients(n, k)
+    if n == 2:
+        fa = b / _hypot(a + b, a)
+    elif n == 3:
+        fa = b / np.sqrt(_square(a + b) + 2.0 * a * a)
+    else:
+        fa = None
+    # +inf where alpha underflows to zero; np.divide, since a number k gives
+    # Python floats, which raise on x/0
+    with np.errstate(divide="ignore"):
+        ratio = np.where(alpha == 0.0, math.inf, 1.0 + np.divide(b, a))
     if ratio.ndim == 0:
         fa = None if fa is None else float(fa)
         ratio = float(ratio)
@@ -327,13 +335,17 @@ def anisotropy_report(dist, params):
     """
     tensor = diffusion_tensor(dist, params)
     w, _ = symmetric_eigen(tensor.D)
-    fa = fractional_anisotropy(w) if dist.n in (2, 3) else None
-    largest = w[..., 0]
-    smallest = w[..., -1]
-    if np.any(largest <= 0.0):
+    shape = w
+    if not _moderate(params.factor):
+        # FA and the ratio do not depend on s^2/mu, and a subnormal or huge
+        # tensor loses bits: take them from the unscaled covariance
+        shape, _ = symmetric_eigen(diffusion_tensor(dist, _UNIT_MOTILITY).D)
+    fa = fractional_anisotropy(shape) if dist.n in (2, 3) else None
+    if np.any(w[..., 0] <= 0.0):
         raise DegenerateTensorError("diffusion tensor is zero")
+    # +inf where the smallest eigenvalue of D is zero, by underflow too
     with np.errstate(divide="ignore"):
-        ratio = np.where(smallest > 0.0, largest / smallest, math.inf)
+        ratio = np.where(w[..., -1] > 0.0, shape[..., 0] / shape[..., -1], math.inf)
     if w.ndim == 1:
         ratio = float(ratio)
     bounds = _peanut_bounds(dist.n) if dist.kind == "peanut" else {"fa_max": 1.0}

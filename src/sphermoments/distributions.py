@@ -156,12 +156,18 @@ def _symmetric_part(A):
     return 0.5 * A + 0.5 * At
 
 
+def _moderate(top):
+    """Whether every top = m 2^e has |e| <= 450, so that squares near it
+    neither overflow nor underflow."""
+    magnitudes = np.abs(top).ravel().tolist()  # Python's min and max are faster here
+    return 2.0**-451 <= min(magnitudes, default=1.0) and max(magnitudes, default=1.0) < 2.0**450
+
+
 def _rescaled(x, top):
     """x times 2^-e, exactly, where top = m 2^e is beyond 2^(+-450) and squares
     near it overflow or underflow; for quantities that do not depend on the scale."""
-    magnitudes = np.abs(top).ravel().tolist()  # Python's min and max are faster here
-    if 2.0**-451 <= min(magnitudes, default=1.0) and max(magnitudes, default=1.0) < 2.0**450:
-        return x  # every |e| <= 450
+    if _moderate(top):
+        return x
     e = np.frexp(top)[1]
     return np.ldexp(x, np.where(np.abs(e) > 450, -e, 0))
 

@@ -8,7 +8,10 @@ rejection samplers for the vMF and peanut distributions.
 Monte Carlo uses the counter-based Philox generator, with the sample
 index space split into fixed blocks whose seeds are spawned from a
 single ``numpy.random.SeedSequence``; results therefore depend only on
-(generator, seed), never on how work would be partitioned.
+(generator, seed), never on how work would be partitioned.  Each block
+is drawn and reduced in chunks of ``_CHUNK_ROWS`` points, in order from
+its own stream, so a pass over a chunk stays in cache; the points are
+those of one draw per block.
 """
 
 import math
@@ -40,15 +43,20 @@ __all__ = [
 
 GENERATOR = "philox4x64(seedsequence-spawned blocks)"
 BLOCK_SIZE = 1 << 16
+_CHUNK_ROWS = 1 << 12
 
 DOUBLING_TOL = 1e-10
 
 
-def _check_count(count, name="count"):
-    """A sample or point count: an integer >= 1 (bools rejected)."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
+def _check_count(count, name="count", least=1):
+    """A count, seed or dimension: an integer >= ``least`` (bools rejected)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {count!r}")
     return int(count)
+
+
+def _check_seed(seed):
+    return _check_count(seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -60,13 +68,11 @@ class McSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError("n must be >= 2")
+        _check_count(self.n, "n", 2)
         _check_count(self.samples, "samples")
         if self.samples < 10_000:
             raise ValidationError("Monte Carlo needs at least 10^4 samples")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValidationError("seed must be an integer")
+        _check_seed(self.seed)
 
 
 # the rule for each dimension the quadrature supports
@@ -176,19 +182,23 @@ def _block_counts(samples):
     return [BLOCK_SIZE] * full + ([rest] if rest else [])
 
 
-def _uniform_blocks(n, samples, seed):
+def _uniform_chunks(n, samples, seed):
+    """The points of every block, in chunks of at most _CHUNK_ROWS rows drawn
+    in order from the block's stream: the same numbers as one draw per block."""
     counts = _block_counts(samples)
     for child, count in zip(np.random.SeedSequence(seed).spawn(len(counts)), counts):
         rng = np.random.Generator(np.random.Philox(child))
-        z = rng.standard_normal((count, n))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        yield z
+        for start in range(0, count, _CHUNK_ROWS):
+            z = rng.standard_normal((min(_CHUNK_ROWS, count - start), n))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            yield z
 
 
 def uniform_sphere(n, count, seed):
     """Uniform points on the unit sphere (normalized standard normals)."""
+    n = _check_count(n, "n", 2)
     count = _check_count(count)
-    return np.concatenate(list(_uniform_blocks(n, count, seed)), axis=0)
+    return np.concatenate(list(_uniform_chunks(n, count, _check_seed(seed))), axis=0)
 
 
 def _mc_accumulate(dist, spec, orders):
@@ -200,7 +210,7 @@ def _mc_accumulate(dist, spec, orders):
         shape = (dist.n,) * order
         sums[order] = np.zeros(shape)
         sqsums[order] = np.zeros(shape)
-    for block in _uniform_blocks(dist.n, spec.samples, spec.seed):
+    for block in _uniform_chunks(dist.n, spec.samples, spec.seed):
         f = area * density_many(dist, block)
         f2 = f * f
         b2 = block * block
@@ -289,15 +299,20 @@ class SampleBatch:
 
 
 def _tangent_directions(rng, u, count):
-    """Uniform unit vectors orthogonal to u."""
+    """Uniform unit vectors orthogonal to u; a draw (almost) along u is redrawn."""
     n = u.size
-    v = np.empty((count, n))
+    v = None
     need = np.arange(count)
     while need.size:
         z = rng.standard_normal((need.size, n))
         z -= np.outer(z @ u, u)
         norms = np.linalg.norm(z, axis=1)
         ok = norms > 1e-12
+        if v is None:
+            if ok.all():  # almost always: the first draw is the answer
+                z /= norms[:, None]
+                return z
+            v = np.empty((count, n))
         v[need[ok]] = z[ok] / norms[ok, None]
         need = need[~ok]
     return v
@@ -312,11 +327,12 @@ def sample_vmf(k, u, count, seed):
     u = _check_direction(u)
     k = _check_concentration(k)
     count = _check_count(count)
+    seed = _check_seed(seed)
     n = u.size
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     if k == 0.0:
-        z = rng.standard_normal((count, n))
-        points = z / np.linalg.norm(z, axis=1, keepdims=True)
+        points = rng.standard_normal((count, n))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
         return SampleBatch(points, 1.0, seed)
 
     d = n - 1
@@ -337,9 +353,9 @@ def sample_vmf(k, u, count, seed):
         cosines[got : got + take] = w[:take]
         got += take
         proposed += m
-    tangents = _tangent_directions(rng, u, count)
-    sines = np.sqrt(np.clip(1.0 - cosines * cosines, 0.0, None))
-    points = cosines[:, None] * u + sines[:, None] * tangents
+    points = _tangent_directions(rng, u, count)
+    points *= np.sqrt(np.clip(1.0 - cosines * cosines, 0.0, None))[:, None]
+    points += cosines[:, None] * u
     return SampleBatch(points, count / proposed, seed)
 
 
@@ -350,6 +366,7 @@ def sample_peanut(A, count, seed):
     so proposals are accepted with probability theta^T A theta / lambda_max.
     """
     count = _check_count(count)
+    seed = _check_seed(seed)
     A = _peanut(A).A
     n = len(A)
     lam_max = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])

@@ -46,7 +46,7 @@ def _random_spd(rng, n, asymmetric=False):
 
 def _rng(seed, stream):
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, stream)))
+        np.random.Philox(np.random.SeedSequence((oracle._check_seed(seed), stream)))
     )
 
 

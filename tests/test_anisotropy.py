@@ -386,6 +386,28 @@ def test_scale_invariance_generic_path():
     assert scaled.ratio == pytest.approx(base.ratio, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_fa_and_ratio_ignore_extreme_motility_scales(n):
+    # beyond 2^(+-450) the scaled tensor is subnormal or huge and keeps fewer
+    # bits; FA and the ratio keep those of s^2/mu = 1, the eigenvalues scale
+    rng = rng_for(16 + n)
+    u = random_unit(rng, n)
+    dists = [d.vmf(u, 2.0), d.bimodal_vmf(u, 2.0), d.peanut(random_spd(rng, n, asymmetric=True))]
+    for s in (1e-160, 1e-155, 1e100, 1e150):
+        params = an.MotilityParams(s, 1.0)
+        for dist in dists:
+            routes = [an.anisotropy_report]
+            if dist.kind != "peanut":
+                routes.append(lambda dist, p: an.vmf_closed_form_report(dist.k, dist.u, p))
+            for route in routes:
+                base = route(dist, P1)
+                report = route(dist, params)
+                assert report.fa == base.fa
+                assert report.ratio == base.ratio
+                np.testing.assert_allclose(report.eigenvalues, params.factor * base.eigenvalues,
+                                           rtol=1e-12 if s > 1e-150 else 1e-2, atol=0)
+
+
 def test_generic_report_refuses_fa_above_three_dimensions():
     rng = rng_for(15)
     report = an.anisotropy_report(d.peanut(random_spd(rng, 5)), P1)

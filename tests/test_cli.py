@@ -200,16 +200,17 @@ def _fixed_dist_json(kind, n):
 @pytest.mark.parametrize("kind", ["vmf", "bimodal_vmf", "peanut", "asymmetric_peanut"])
 def test_anisotropy_at_extreme_motility_scales(capsys, kind, n):
     # s^2/mu = 1e-320 is subnormal, and the squares of 1e200 overflow;
-    # FA does not depend on s^2/mu
+    # FA and the ratio do not depend on s^2/mu, and keep every bit of s = 1
     dist = _fixed_dist_json(kind, n)
-    base = json.loads(run_cli(capsys, "anisotropy", "--dist-json", dist)[1])
+    base = json.loads(run_cli(capsys, "anisotropy", "--dist-json", dist, "--s", "1")[1])
     for s in ("1e-160", "1e100"):
         code, out = run_cli(capsys, "anisotropy", "--dist-json", dist, "--s", s)
         data = json.loads(out)
         assert code == 0
         assert isinstance(data["fa"], (int, float)) and math.isfinite(data["fa"])
         assert all(data["bound_flags"].values())
-    assert data["fa"] == pytest.approx(base["fa"], rel=1e-12, abs=0.0)
+        assert data["fa"] == base["fa"]
+        assert data["ratio"] == base["ratio"]
     # s^2/mu overflows to inf and underflows to 0
     for s in ("1e160", "1e-200"):
         code, out = run_cli(capsys, "anisotropy", "--dist-json", dist, "--s", s)
@@ -493,6 +494,14 @@ def test_malformed_seed_env_variable_is_input_error(capsys, monkeypatch):
     code, out = run_cli(capsys, "moments", "--dist-json", VMF3)
     assert code == 2
     assert "SPHERMOMENTS_SEED" in json.loads(out)["error"]
+
+
+def test_negative_seed_is_input_error(capsys):
+    vmf4 = '{"kind":"vmf","n":4,"u":[1,0,0,0],"k":2}'
+    for args in (("moments", "--oracle", "mc", "--dist-json", vmf4), ("validate", "--level", "smoke")):
+        code, out = run_cli(capsys, *args, "--seed=-1")
+        assert code == 2
+        assert json.loads(out)["error"] == "seed must be an integer >= 0, got -1"
 
 
 def test_parser_is_built_once():

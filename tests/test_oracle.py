@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +36,14 @@ def test_mc_spec_validation():
         oracle.McSpec(1, 10_000, 1)
     with pytest.raises(ValidationError):
         oracle.McSpec(3, 20_000.5, 1)
+    # the seed is an integer >= 0, the dimension an integer >= 2
+    for bad_seed in (-1, 1.5, True, "7", np.float64(3.0)):
+        with pytest.raises(ValidationError, match="seed"):
+            oracle.McSpec(3, 10_000, bad_seed)
+    for bad_n in (3.5, 2.0, True, None):
+        with pytest.raises(ValidationError, match="n must be an integer >= 2"):
+            oracle.McSpec(bad_n, 10_000, 1)
+    assert oracle.McSpec(np.int64(3), 10_000, np.uint32(0)).seed == 0
 
 
 def test_quad_dimension_mismatch():
@@ -126,9 +135,14 @@ def test_mc_seed_determinism():
 @pytest.mark.parametrize("n", [4, 7])
 @pytest.mark.parametrize("kind", ["vmf", "peanut", "bingham"])
 def test_mc_moments_match_written_out_estimator(kind, n):
-    # 70,000 samples span a full block and a partial one
-    samples = 70_000
-    assert samples > oracle.BLOCK_SIZE
+    # 10,000 samples end in a partial chunk; 70,000 span a full block and a
+    # partial one; 131,073 are three blocks, the last a single row
+    for samples in (10_000, 70_000, 131_073):
+        _check_written_out_estimator(kind, n, samples)
+    assert 70_000 > oracle.BLOCK_SIZE and 131_073 == 2 * oracle.BLOCK_SIZE + 1
+
+
+def _check_written_out_estimator(kind, n, samples):
     seed = 300 + n
     rng = rng_for(seed)
     if kind == "vmf":
@@ -189,7 +203,96 @@ def test_uniform_sphere_shape_and_norms():
 
 
 # ---------------------------------------------------------------------------
+# output pins: SHA-256 of the points' bytes, recorded before Monte Carlo was
+# drawn in chunks; the points of every seed stay the same
+
+
+def _digest(points):
+    return hashlib.sha256(np.ascontiguousarray(points).tobytes()).hexdigest()
+
+
+PINNED_UNIFORM = {
+    3: "224e83f639a173dda0e4979e2458b33f5c804717fcf2495438499a9aa5abe441",
+    8: "32c8fb8327320b1bd455e9c7fdc3a593108c928b891687af58db09b9a37aec2f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_UNIFORM))
+def test_uniform_sphere_output_is_pinned(n):
+    points = oracle.uniform_sphere(n, 2 * oracle.BLOCK_SIZE + 1, 11)
+    assert _digest(points) == PINNED_UNIFORM[n]
+
+
+PINNED_VMF = {
+    (2, 0.0): "7721a32fdb127ccfadbc9056ba0c9977abb3ce1ff5cb29688a20629eeb02b779",
+    (2, 0.5): "2778ccda61d96c5abe4b3954fc60fce125e7cd22352f6c916b3cbdfbb92373e0",
+    (2, 50.0): "a49c958270987f8c7a66c6483e01184901aefb7a6bee1ed54a91c4c44385e728",
+    (3, 0.0): "20850af2596678f4b1d0e41aea1240f6b5f6cd64da5df2f9b480c6dae96f30e6",
+    (3, 0.5): "c2ca0a4af45a01eb886d6bfa0eae18202ae4c134a0951e98ae92d99cb6cdb78c",
+    (3, 50.0): "03ece1f6e6f828dc2ee95c94506cdc2848c23b98766ee71df8951444a7a531ae",
+    (5, 0.0): "edbd03cf488ddf9de7e65a94971a1de550fd8f81882011207d8095a62aa520ba",
+    (5, 0.5): "8bf9fe8b097a43f071ffed591e191a3d4b9bc5ff518530b89620643aef5504a0",
+    (5, 50.0): "fd70d495a60c2755ee74d996caefb5c71ba3419084e9168058a892b5efd8c312",
+}
+PINNED_DIRECTIONS = {2: [0.6, -0.8], 3: [0.0, 0.6, -0.8], 5: [0.48, 0.0, -0.6, 0.64, 0.0]}
+
+
+@pytest.mark.parametrize("n, k", sorted(PINNED_VMF))
+def test_sample_vmf_output_is_pinned(n, k):
+    batch = oracle.sample_vmf(k, PINNED_DIRECTIONS[n], 20_000, 21 + n)
+    assert _digest(batch.points) == PINNED_VMF[n, k]
+
+
+PINNED_PEANUTS = {
+    "symmetric_n3": (
+        np.diag([3.0, 1.0, 0.5]),
+        "265dac0a745b8b1bf100e51ae8055f709b0a3aaa0156106b75ad437be5c3fb13",
+    ),
+    "asymmetric_n5": (
+        np.array([
+            [4.0, 0.5, 0.0, 0.2, 0.0],
+            [-0.3, 2.0, 0.1, 0.0, 0.0],
+            [0.0, 0.4, 1.5, 0.0, 0.3],
+            [0.1, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, -0.2, 0.0, 0.5],
+        ]),
+        "5245a961d0cc92106f45552f37e869f1c288d4466f24f322a70722cc274a5ef5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PEANUTS))
+def test_sample_peanut_output_is_pinned(case):
+    A, digest = PINNED_PEANUTS[case]
+    assert _digest(oracle.sample_peanut(A, 20_000, 31).points) == digest
+
+
+# ---------------------------------------------------------------------------
 # samplers
+
+
+class _ScriptedNormals:
+    """Stands in for a Generator: standard_normal returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        draw = np.array(self.draws.pop(0), dtype=float)
+        assert draw.shape == shape
+        return draw
+
+
+def test_tangent_directions_redraw_rows_along_u():
+    u = np.array([1.0, 0.0, 0.0])
+    rng = _ScriptedNormals(
+        [[2.0, 0.0, 0.0], [1.0, 0.0, 3.0], [-1.0, 0.0, 1e-13]],  # rows 0 and 2 lie along u
+        [[5.0, 0.0, 0.0], [0.0, 4.0, 0.0]],  # for rows 0 and 2; row 0 lies along u again
+        [[0.0, 0.0, -2.0]],
+    )
+    v = oracle._tangent_directions(rng, u, 3)
+    np.testing.assert_array_equal(v, [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    assert not rng.draws
 
 
 def test_sample_vmf_uniform_case():
@@ -301,6 +404,16 @@ def test_sampler_input_validation():
         with pytest.raises(ValidationError, match="count"):
             oracle.sample_peanut(np.eye(3), bad_count, 1)
     assert oracle.uniform_sphere(3, np.int64(5), 0).shape == (5, 3)
+    for bad_seed in (-1, 1.5, True, None, "0"):
+        with pytest.raises(ValidationError, match="seed"):
+            oracle.uniform_sphere(3, 10, bad_seed)
+        with pytest.raises(ValidationError, match="seed"):
+            oracle.sample_vmf(2.0, [1.0, 0.0, 0.0], 10, bad_seed)
+        with pytest.raises(ValidationError, match="seed"):
+            oracle.sample_peanut(np.eye(3), 10, bad_seed)
+    for bad_n in (3.5, 1, True):
+        with pytest.raises(ValidationError, match="n must be an integer >= 2"):
+            oracle.uniform_sphere(bad_n, 10, 0)
 
 
 # ---------------------------------------------------------------------------
