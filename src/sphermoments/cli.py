@@ -63,7 +63,13 @@ def dumps(obj):
 
 
 def _emit(obj, parts):
-    if obj is None:
+    # exact types first, the bulk of a report; subclasses such as _Digits12
+    # and np.float64 fall through to the isinstance chain
+    if type(obj) is float:
+        parts.append(_format_float(obj))
+    elif type(obj) is list:
+        _emit_items(obj, parts)
+    elif obj is None:
         parts.append("null")
     elif isinstance(obj, (bool, np.bool_)):
         parts.append("true" if obj else "false")
@@ -85,16 +91,20 @@ def _emit(obj, parts):
             _emit(value, parts)
         parts.append("}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        parts.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _emit(value, parts)
-        parts.append("]")
+        _emit_items(obj, parts)
     elif isinstance(obj, _Table):
         parts.append(_json_rows(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _emit_items(items, parts):
+    parts.append("[")
+    for i, value in enumerate(items):
+        if i:
+            parts.append(", ")
+        _emit(value, parts)
+    parts.append("]")
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ concentrations k and inverse time scales 1/(4*delta) up to 1e4 do not
 overflow.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -101,6 +102,27 @@ class SphericalDistribution:
         if self.delta is not None:
             object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "_violations", tuple(validate(self)))
+
+    @functools.cached_property
+    def _density_terms(self):
+        """(constant, matrix) of the density: the peanut's c in c theta^T A
+        theta, or the log of the constant factor (None for Bingham outside
+        n = 3) with A^-1 for odf and bingham.  Computed on the first density
+        call, not when built, and kept, so chunked Monte Carlo computes it once."""
+        if self.kind == "peanut":
+            return self.n / (sphere_surface_area(self.n) * np.trace(self.A)), None
+        if self.kind in ("vmf", "bimodal_vmf"):
+            lc = _vmf_log_const(self.n, self.k)
+            return (lc if self.kind == "vmf" else lc - math.log(2.0)), None
+        if self.kind == "odf":
+            lc = -math.log(4.0 * math.pi) - 0.5 * math.log(np.linalg.det(self.A))
+        elif self.n == 3:
+            lc = -0.5 * (
+                math.log(np.linalg.det(self.A)) + 3.0 * math.log(4.0 * math.pi * self.delta)
+            )
+        else:
+            lc = None
+        return lc, np.linalg.inv(self.A)
 
 
 def _length(x, name):
@@ -216,7 +238,7 @@ def validate(dist):
     # the signs checked here do not depend on the scale, and the solver squares entries
     sym = _symmetric_part(dist.A)
     sym = _rescaled(sym, np.abs(sym).max())
-    eigenvalues, _ = jacobi_eigh(sym)
+    eigenvalues = jacobi_eigh(sym)
     if eigenvalues.min() <= 0.0:
         out.append("A not positive definite")
     if np.trace(sym) <= 0.0:
@@ -268,27 +290,20 @@ def log_density_many(dist, thetas):
     """Log densities at an (m, n) array of unit vectors."""
     _checked(dist)
     points = _as_points(dist, thetas)
-    if dist.kind == "vmf":
-        return _vmf_log_const(dist.n, dist.k) + dist.k * (points @ dist.u)
-    if dist.kind == "bimodal_vmf":
-        a = np.abs(dist.k * (points @ dist.u))
-        lc = _vmf_log_const(dist.n, dist.k) - math.log(2.0)
-        return lc + a + np.log1p(np.exp(-2.0 * a))
     if dist.kind == "peanut":
         return np.log(density_many(dist, points))
-    qf = _quadratic_form(np.linalg.inv(dist.A), points)
+    lc, inverse = dist._density_terms
+    if dist.kind == "vmf":
+        return lc + dist.k * (points @ dist.u)
+    if dist.kind == "bimodal_vmf":
+        a = np.abs(dist.k * (points @ dist.u))
+        return lc + a + np.log1p(np.exp(-2.0 * a))
+    qf = _quadratic_form(inverse, points)
     if dist.kind == "odf":
-        lc = -math.log(4.0 * math.pi) - 0.5 * math.log(np.linalg.det(dist.A))
         return lc - 1.5 * np.log(qf)
     # bingham; normalization constant only known for n = 3
     arg = -qf / (4.0 * dist.delta)
-    if dist.n == 3:
-        lc = -0.5 * (
-            math.log(np.linalg.det(dist.A))
-            + 3.0 * math.log(4.0 * math.pi * dist.delta)
-        )
-        return lc + arg
-    return arg
+    return arg if lc is None else lc + arg
 
 
 def density_many(dist, thetas):
@@ -296,7 +311,7 @@ def density_many(dist, thetas):
     if dist.kind == "peanut":
         _checked(dist)
         points = _as_points(dist, thetas)
-        c = dist.n / (sphere_surface_area(dist.n) * np.trace(dist.A))
+        c, _ = dist._density_terms
         return c * _quadratic_form(dist.A, points)
     return np.exp(log_density_many(dist, thetas))
 

@@ -550,6 +550,43 @@ def test_moments_output_is_byte_identical(capsys):
     assert a == b
 
 
+def test_dumps_golden_bytes_for_every_type():
+    # _Digits12 is a float and bool an int: each keeps its own spelling
+    obj = {
+        "none": None,
+        "bools": [True, False, np.bool_(True), np.bool_(False)],
+        "ints": [0, -7, 2**70, np.int64(-9), np.int32(3)],
+        "digits12": [cli._Digits12(0.1 + 0.2), cli._Digits12(math.inf),
+                     cli._Digits12(math.nan), cli._Digits12(-1 / 3)],
+        "floats": [0.1 + 0.2, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   2.2250738585072014e-308 / 3, 1e300, 1.0, -2.5e-17],
+        "numpy_floats": [np.float64(0.1) * 3, np.float64("nan"), np.float64("-inf"),
+                         np.float64(-0.0), np.float32(0.1)],
+        "str": 'a "quoted" \\ snow☃',
+        "nested": {"list": [[1.5, [2, None]], (3.25, "x")], "tuple": (0.5, (True, 1e-320)), 7: {}},
+        "ndarray": np.array([[1.0, -0.0], [np.inf, 1 / 3]]),
+        "table": cli._Table(
+            {"kind": "vmf", "k": np.array([0.5, np.inf]), "n": 3, "fa": np.array([1 / 3, np.nan])}, 2
+        ),
+    }
+    assert cli.dumps(obj) == (
+        '{"none": null, "bools": [true, false, true, false], '
+        '"ints": [0, -7, 1180591620717411303424, -9, 3], '
+        '"digits12": [0.3, "inf", "nan", -0.333333333333], '
+        '"floats": [0.30000000000000004, "nan", "inf", "-inf", -0, 0, 4.9406564584124654e-324, '
+        '7.4169128616906696e-309, 1.0000000000000001e+300, 1, -2.4999999999999999e-17], '
+        '"numpy_floats": [0.30000000000000004, "nan", "-inf", -0, 0.10000000149011612], '
+        '"str": "a \\"quoted\\" \\\\ snow\\u2603", '
+        '"nested": {"list": [[1.5, [2, null]], [3.25, "x"]], '
+        '"tuple": [0.5, [true, 9.9998886718268301e-321]], "7": {}}, '
+        '"ndarray": [[1, -0], ["inf", 0.33333333333333331]], '
+        '"table": [{"kind": "vmf", "k": 0.5, "n": 3, "fa": 0.33333333333333331}, '
+        '{"kind": "vmf", "k": "inf", "n": 3, "fa": "nan"}]}'
+    )
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli.dumps({1.5, 2.5})
+
+
 def test_moments_golden_output(capsys):
     _, out = run_cli(
         capsys, "moments", "--dist-json", '{"kind":"peanut","n":2,"A":[[3,0],[0,1]]}'

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphermoments import _linalg
 from sphermoments import distributions as d
 from sphermoments import oracle
 from sphermoments.errors import DomainError, ValidationError
 
-from util import random_spd, random_unit, rng_for
+from util import random_rotation, random_spd, random_unit, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +107,55 @@ def test_factories_raise_on_bad_input():
     ):
         with pytest.raises(ValidationError):
             build()
+
+
+# output pins of validate's positive-definiteness check: SHA-256 of the Jacobi
+# eigenvalues' bytes and of the decisions, recorded before the solver moved
+# from NumPy rows to Python floats; both stay the same
+
+
+def _pd_check_matrices():
+    """Symmetric matrices for n = 2..10 as validate hands them to the solver:
+    well conditioned (eigenvalues log-uniform on [0.2, 5]), lambda_min of
+    either sign below 1e-15 max|lambda|, and the largest entry near 2^(+-450),
+    kept as it is, or near 2^(+-600), scaled by _rescaled."""
+    rng = rng_for(2024)
+    out = []
+    for n in range(2, 11):
+        for case in range(40):
+            q = random_rotation(rng, n)
+            w = np.exp(rng.uniform(math.log(0.2), math.log(5.0), n))
+            if 20 <= case < 36:
+                w[0] = (-1.0) ** case * 10.0 ** rng.uniform(-18.0, -15.0) * w.max()
+            A = (q * w) @ q.T
+            A = 0.5 * (A + A.T)
+            if case >= 36:
+                e = (450, -450, 600, -600)[case - 36]
+                A = np.ldexp(A, e - np.frexp(np.abs(A).max())[1])
+            out.append(A)
+    return out
+
+
+PINNED_JACOBI_EIGENVALUES = "46476a41e9f571a5ffae4d598cac6f00afce6860db6ee5a1c688efb8490e5922"
+PINNED_PD_DECISIONS = "37da13326d6b16512ce6679ffc216064c698fba64f09fc8b2f2b59d217ccdd73"
+
+
+def test_jacobi_eigenvalues_are_pinned():
+    digest = hashlib.sha256()
+    for A in _pd_check_matrices():
+        sym = d._rescaled(A, np.abs(A).max())
+        digest.update(np.ascontiguousarray(_linalg.jacobi_eigh(sym)).tobytes())
+    assert digest.hexdigest() == PINNED_JACOBI_EIGENVALUES
+
+
+def test_positive_definite_decisions_are_pinned():
+    decisions = [
+        "A not positive definite" not in d.SphericalDistribution("peanut", len(A), A=A)._violations
+        for A in _pd_check_matrices()
+    ]
+    # every well-conditioned matrix is positive definite, whatever its scale
+    assert all(decisions[i] for i in range(len(decisions)) if i % 40 < 20 or i % 40 >= 36)
+    assert hashlib.sha256(bytes(decisions)).hexdigest() == PINNED_PD_DECISIONS
 
 
 # ---------------------------------------------------------------------------

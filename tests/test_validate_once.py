@@ -1,8 +1,10 @@
-"""Each distribution is validated once, when it is built.
+"""Each distribution is validated once, when it is built, and builds its
+density constant once, on its first density call.
 
 The counts go through every module-level binding of ``jacobi_eigh`` (the
-positive-definiteness check inside ``validate``) and of ``validate``, so a
-re-validation made through a name imported into another module counts too.
+positive-definiteness check inside ``validate``, which returns the
+eigenvalues only) and of ``validate``, so a re-validation made through a
+name imported into another module counts too.
 """
 
 import json
@@ -12,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from sphermoments import _linalg, anisotropy, cli, distributions, moments, oracle
+from sphermoments import _linalg, anisotropy, cli, distributions, moments, oracle, specfun
 from sphermoments.errors import ValidationError
 
 from util import random_spd, rng_for
@@ -30,7 +32,10 @@ def start_counting(monkeypatch):
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 counts[_name] += 1
-                return _original(*args, **kwargs)
+                result = _original(*args, **kwargs)
+                if _name == "jacobi_eigh":  # one eigenvalue per row, no vectors
+                    assert result.shape == (len(args[0]),)
+                return result
 
             for module_name, module in list(sys.modules.items()):
                 if module_name.split(".")[0] != "sphermoments":
@@ -83,6 +88,31 @@ def test_mc_moments_does_not_revalidate(start_counting):
     report = oracle.mc_moments(dist, oracle.McSpec(5, oracle.BLOCK_SIZE + 1000, 0))
     assert report.provenance["samples"] > oracle.BLOCK_SIZE  # two blocks
     assert counts == {"jacobi_eigh": 0, "validate": 0}
+
+
+# what each family's density constant calls: the Bessel function, A^-1, the sphere's area
+@pytest.mark.parametrize("kind, module, name", [
+    ("vmf", specfun, "bessel_i"),
+    ("bimodal_vmf", specfun, "bessel_i"),
+    ("peanut", distributions, "sphere_surface_area"),
+    ("bingham", np.linalg, "inv"),
+])
+def test_density_constant_is_built_once_per_object(monkeypatch, kind, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    params = {"u": [0.6, 0.0, -0.8, 0.0, 0.0], "k": 2.5, "A": random_spd(rng_for(8), 5),
+              "delta": 0.5}
+    dist = distributions.SphericalDistribution(
+        kind, 5, **{field: params[field] for field in distributions.FAMILIES[kind]}
+    )
+    if kind != "bingham":
+        moments.closed_form_moments(dist)
+    assert calls == []  # building it and its closed forms need no constant
+    for samples in (oracle.BLOCK_SIZE + 1000, 10_000):  # 17 chunks, then 3
+        oracle.mc_moments(dist, oracle.McSpec(5, samples, 0))
+    distributions.log_density(dist, [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert len(calls) == 1
 
 
 def test_sample_peanut_validates_once(start_counting):
