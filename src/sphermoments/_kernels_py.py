@@ -1,4 +1,4 @@
-"""Kernels: gamma and modified Bessel machinery.
+"""Kernels: modified Bessel machinery.
 
 ``specfun`` is the public front end; callers are expected to have
 validated their inputs (finite, in domain) before reaching this layer.
@@ -22,43 +22,17 @@ RATIO_MAX_ITER = 50_000
 # longer negligible against x/(2p)
 RATIO_LEADING_TERM_X = 1e-150
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def series_cutoff(p):
     """Largest x handled by the power series for order p."""
     return max(30.0, 0.5 * p * p + 10.0)
 
 
-def gamma(x):
-    """Gamma function for x > 0 (Lanczos approximation, g=7, 9 terms)."""
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    # split the power so arguments up to x ~ 170 stay representable
-    half_pow = math.pow(t, 0.5 * (z + 0.5))
-    return math.sqrt(2.0 * math.pi) * acc * half_pow * math.exp(-t) * half_pow
-
-
 def _bessel_series(p, x):
-    """Power-series I_p(x); valid for x <= series_cutoff(p)."""
+    """Power-series I_p(x); valid for x <= series_cutoff(p).  Raises
+    OverflowError where (x/2)^p or Gamma(p + 1) overflows a double."""
     half = 0.5 * x
-    term = math.pow(half, p) / gamma(p + 1.0)
+    term = math.pow(half, p) / math.gamma(p + 1.0)
     acc = term
     q = half * half
     for m in range(1, SERIES_MAX_TERMS + 1):

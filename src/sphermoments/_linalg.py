@@ -6,8 +6,11 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+TOL = 1e-14  # off-diagonal Frobenius norm, relative to the matrix's, at convergence
+MAX_SWEEPS = 60
 
-def jacobi_eigh(M, tol=1e-14, max_sweeps=60):
+
+def jacobi_eigh(M):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns a 1-D array in no particular order; eigenvectors are not
@@ -24,13 +27,13 @@ def jacobi_eigh(M, tol=1e-14, max_sweeps=60):
     if norm == 0.0:
         return np.zeros(n)
     a = A.tolist()
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         # a plain running sum: sum() of floats is compensated from Python 3.12
         off = 0.0
         for p in range(n - 1):
             for x in a[p][p + 1 :]:
                 off += x**2
-        if math.sqrt(2.0 * off) <= tol * norm:
+        if math.sqrt(2.0 * off) <= TOL * norm:
             return np.array([a[i][i] for i in range(n)])
         for p in range(n - 1):
             for q in range(p + 1, n):

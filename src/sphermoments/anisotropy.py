@@ -92,9 +92,7 @@ class DiffusionTensor:
     n: int
 
     def __post_init__(self):
-        D = np.array(self.D, dtype=float)
-        D.flags.writeable = False
-        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "D", _freeze(self.D))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,16 +220,23 @@ def _peanut_bounds(n):
     return bounds
 
 
-def _flags(fa, ratio, bounds):
-    # a batch report has one flag per row for every bound, FA-less rows too
-    unbounded = np.ones(ratio.shape, dtype=bool) if isinstance(ratio, np.ndarray) else True
+def _report(eigenvalues, fa, ratio, bounds):
+    """The AnisotropyReport with a flag for each bound.  One tensor's 0-d fa
+    and ratio become floats; a batch report has one flag per row for every
+    bound, FA-less rows too."""
+    if np.ndim(ratio):
+        unbounded = np.ones(ratio.shape, dtype=bool)
+    else:
+        fa = None if fa is None else float(fa)
+        ratio = float(ratio)
+        unbounded = True
     flags = {}
     for name, limit in bounds.items():
         if name.startswith("fa"):
             flags[name] = unbounded if fa is None else fa <= limit + BOUND_SLACK
         else:
             flags[name] = (1.0 - BOUND_SLACK <= ratio) & (ratio <= limit + BOUND_SLACK)
-    return flags
+    return AnisotropyReport(eigenvalues, fa, ratio, bounds, flags)
 
 
 def _hypot(x, y):
@@ -283,12 +288,7 @@ def peanut_closed_form_report(A, params):
         fa = np.sqrt(num / den)
     else:
         fa = None
-    ratio = shifted[0] / shifted[-1]
-    if A.ndim == 2:
-        fa = None if fa is None else float(fa)
-        ratio = float(ratio)
-    bounds = _peanut_bounds(n)
-    return AnisotropyReport(eigenvalues, fa, ratio, bounds, _flags(fa, ratio, bounds))
+    return _report(eigenvalues, fa, shifted[0] / shifted[-1], _peanut_bounds(n))
 
 
 def vmf_closed_form_report(k, u, params):
@@ -320,11 +320,7 @@ def vmf_closed_form_report(k, u, params):
     # Python floats, which raise on x/0
     with np.errstate(divide="ignore"):
         ratio = np.where(alpha == 0.0, math.inf, 1.0 + np.divide(b, a))
-    if ratio.ndim == 0:
-        fa = None if fa is None else float(fa)
-        ratio = float(ratio)
-    bounds = {"fa_max": 1.0}
-    return AnisotropyReport(eigenvalues, fa, ratio, bounds, _flags(fa, ratio, bounds))
+    return _report(eigenvalues, fa, ratio, {"fa_max": 1.0})
 
 
 def anisotropy_report(dist, params):
@@ -346,7 +342,5 @@ def anisotropy_report(dist, params):
     # +inf where the smallest eigenvalue of D is zero, by underflow too
     with np.errstate(divide="ignore"):
         ratio = np.where(w[..., -1] > 0.0, shape[..., 0] / shape[..., -1], math.inf)
-    if w.ndim == 1:
-        ratio = float(ratio)
     bounds = _peanut_bounds(dist.n) if dist.kind == "peanut" else {"fa_max": 1.0}
-    return AnisotropyReport(w, fa, ratio, bounds, _flags(fa, ratio, bounds))
+    return _report(w, fa, ratio, bounds)

@@ -15,6 +15,7 @@ import numpy as np
 from . import specfun
 from ._linalg import jacobi_eigh
 from .errors import DomainError, ValidationError
+from .reports import _freeze
 
 __all__ = [
     "FAMILIES",
@@ -58,12 +59,6 @@ def sphere_surface_area(n):
     return 2.0 * math.pi ** (0.5 * n) / specfun.gamma(0.5 * n)
 
 
-def _readonly_array(x, dtype=float):
-    arr = np.array(x, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class SphericalDistribution:
     """Tagged spherical-distribution family.
@@ -92,11 +87,11 @@ class SphericalDistribution:
 
     def __post_init__(self):
         if self.u is not None:
-            object.__setattr__(self, "u", _readonly_array(self.u))
+            object.__setattr__(self, "u", _freeze(self.u))
         if self.A is not None:
-            object.__setattr__(self, "A", _readonly_array(self.A))
+            object.__setattr__(self, "A", _freeze(self.A))
         if isinstance(self.k, np.ndarray) and self.k.ndim:
-            object.__setattr__(self, "k", _readonly_array(self.k))
+            object.__setattr__(self, "k", _freeze(self.k))
         elif self.k is not None:
             object.__setattr__(self, "k", float(self.k))
         if self.delta is not None:

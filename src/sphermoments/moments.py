@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .distributions import _checked, _rescaled, peanut as _peanut
+from .distributions import UNIT_NORM_TOL, _checked, _rescaled, peanut as _peanut
 from .errors import DomainError, UnsupportedError, ValidationError
 from .reports import MomentReport
 
@@ -41,7 +41,7 @@ def _check_direction(u):
         raise ValidationError("mean direction must be a vector of length >= 2")
     # NaN and infinite entries fail the norm test too, so valid input
     # pays for the norm only and the finiteness scan just picks the message
-    if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
+    if not abs(np.linalg.norm(u) - 1.0) <= UNIT_NORM_TOL:
         if not np.all(np.isfinite(u)):
             raise ValidationError("mean direction must be finite")
         raise ValidationError("mean direction must be a unit vector")

@@ -105,20 +105,31 @@ def _nodes(n, resolution):
     return points, weights
 
 
+def _power_sum(w, x, order):
+    """sum_m w[m] x[m]^(x)order for order 0..3, over the rows of x."""
+    if order == 0:
+        return w.sum()
+    if order == 1:
+        return w @ x
+    if order == 2:
+        return (x.T * w) @ x
+    if order == 3:
+        return np.einsum("m,mi,mj,mk->ijk", w, x, x, x)
+    raise DomainError(f"unsupported moment order {order}")
+
+
 def _raw_from_nodes(dist, points, weights, orders):
     wq = weights * density_many(dist, points)
     out = {}
     for order in orders:
-        if order == 0:
-            out[0] = float(wq.sum())
-        elif order == 1:
-            out[1] = wq @ points
-        elif order == 2:
+        if order == 2:
+            # not _power_sum, which sums in another order: the golden tests pin
+            # these bits, and criterion 10 times closed forms against this cost
             out[2] = np.einsum("m,mi,mj->ij", wq, points, points)
-        elif order == 3:
-            out[3] = np.einsum("m,mi,mj,mk->ijk", wq, points, points, points)
         else:
-            raise DomainError(f"unsupported moment order {order}")
+            out[order] = _power_sum(wq, points, order)
+    if 0 in out:
+        out[0] = float(out[0])
     return out
 
 
@@ -204,31 +215,15 @@ def uniform_sphere(n, count, seed):
 def _mc_accumulate(dist, spec, orders):
     """Sums and sums of squares of |S^{n-1}| q(theta) theta^(x)order."""
     area = sphere_surface_area(dist.n)
-    sums = {}
-    sqsums = {}
-    for order in orders:
-        shape = (dist.n,) * order
-        sums[order] = np.zeros(shape)
-        sqsums[order] = np.zeros(shape)
+    sums = {order: np.zeros((dist.n,) * order) for order in orders}
+    sqsums = {order: np.zeros((dist.n,) * order) for order in orders}
     for block in _uniform_chunks(dist.n, spec.samples, spec.seed):
         f = area * density_many(dist, block)
         f2 = f * f
         b2 = block * block
         for order in orders:
-            if order == 0:
-                sums[0] += f.sum()
-                sqsums[0] += f2.sum()
-            elif order == 1:
-                sums[1] += f @ block
-                sqsums[1] += f2 @ b2
-            elif order == 2:
-                sums[2] += (block.T * f) @ block
-                sqsums[2] += (b2.T * f2) @ b2
-            elif order == 3:
-                sums[3] += np.einsum("m,mi,mj,mk->ijk", f, block, block, block)
-                sqsums[3] += np.einsum("m,mi,mj,mk->ijk", f2, b2, b2, b2)
-            else:
-                raise DomainError(f"unsupported moment order {order}")
+            sums[order] += _power_sum(f, block, order)
+            sqsums[order] += _power_sum(f2, b2, order)
     result = {}
     m = spec.samples
     for order in orders:
@@ -278,8 +273,7 @@ def mc_moments(dist, spec):
 def mc_raw_moment(dist, spec, order):
     """(estimate, standard_error) for a raw moment tensor via Monte Carlo."""
     _check_spec_matches(dist, spec)
-    est, se = _mc_accumulate(dist, spec, (order,))[order]
-    return est, se
+    return _mc_accumulate(dist, spec, (order,))[order]
 
 
 def mc_normalization(dist, spec):

@@ -6,6 +6,7 @@ import numpy as np
 
 
 def _freeze(arr):
+    """A read-only float copy of ``arr``."""
     arr = np.array(arr, dtype=float)
     arr.flags.writeable = False
     return arr

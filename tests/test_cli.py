@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from sphermoments import cli, distributions
+from sphermoments import cli, distributions, validation
 
 PEANUT31 = '{"kind":"peanut","n":2,"A":[[3,0],[0,1]]}'
 VMF3 = '{"kind":"vmf","n":3,"u":[1,0,0],"k":2}'
@@ -101,6 +101,35 @@ def test_moments_rejects_tiny_mc_sample_count(capsys):
     assert code == 2
 
 
+VMF190 = json.dumps({"kind": "vmf", "n": 190, "u": [1.0] + [0.0] * 189, "k": 4400})
+SWEEP_K = ("sweep", "--parameter", "k", "--dist-json", BIMODAL3)
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("moments", "--dist-json", VMF3, "--dist", "@x.json"), "not both"),
+    (("moments", "--dist", "x.json"), "--dist expects @path"),
+    (SWEEP_K + ("--grid", "1,2", "--grid-log", "1", "2", "3"), "not both"),
+    (SWEEP_K + ("--grid-log", "2", "1", "3"), "0 < MIN < MAX"),
+    (SWEEP_K + ("--grid-log", "2", "2", "3"), "0 < MIN < MAX"),
+    (SWEEP_K + ("--grid", ","), "grid must be nonempty"),
+    (SWEEP_K + ("--grid=-1,2",), "k grid values must be >= 0"),
+    (("sweep", "--parameter", "k", "--dist-json", PEANUT31, "--grid", "1,2"),
+     "k sweeps require"),
+    (("sweep", "--parameter", "eigen_ratio", "--dist-json", PEANUT31, "--grid", "0,1"),
+     "eigen_ratio grid values must be > 0"),
+    (("bench", "--k-grid", ","), "--k-grid must be nonempty"),
+    # (x/2)^p overflows in I_94(4400), the vMF density's constant
+    (("moments", "--oracle", "mc", "--samples", "10000", "--dist-json", VMF190),
+     "power series of I_p(x) overflows at p=94.0, x=4400.0"),
+])
+def test_input_errors_print_one_json_line(capsys, argv, words):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert list(json.loads(out)) == ["error"]
+    assert words in json.loads(out)["error"]
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -108,8 +137,6 @@ def test_unknown_subcommand_exits_two():
 
 
 def test_validate_failure_exits_one(capsys, monkeypatch):
-    from sphermoments import validation
-
     def fake(level, seed):
         return {"schema": "1", "level": level, "seed": seed,
                 "suites": [], "passed": False}
@@ -475,6 +502,11 @@ def test_validate_smoke_passes_quickly(capsys):
     assert all(s["passed"] for s in data["suites"])
 
 
+def test_run_validation_rejects_unknown_level():
+    with pytest.raises(ValueError, match="level must be 'smoke' or 'full'"):
+        validation.run_validation("medium", 0)
+
+
 def test_validate_is_deterministic(capsys):
     a = run_cli(capsys, "validate", "--level", "smoke", "--seed", "9")[1]
     b = run_cli(capsys, "validate", "--level", "smoke", "--seed", "9")[1]
@@ -523,6 +555,16 @@ def test_bench_reports_speedup(capsys):
     assert len(lines) == 2
     cells = lines[1].split(",")
     assert float(cells[5]) > 1.0
+
+
+def test_bench_times_monte_carlo_above_three_dimensions(capsys):
+    code, out = run_cli(
+        capsys, "bench", "--n", "4", "--k-grid", "2", "--repeats", "1", "--samples", "10000",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[:3] == ["4", "2", "mc_10000"]
 
 
 def test_bench_rejects_nonpositive_repeats(capsys):
@@ -729,16 +771,16 @@ QUAD_GOLDEN = {
         '-0.005405405405405404], [0.021621621621621623, 0.30810810810810813, '
         '0.010810810810810811], [-0.005405405405405404, 0.010810810810810811, '
         '0.27567567567567569]], "source": "closed_form"}, '
-        '"oracle": {"mean": [-3.4302763517135637e-17, 1.9515708161395531e-17, '
-        '1.5534107796611038e-17], "second_moment": [[0.41621621621622157, '
+        '"oracle": {"mean": [-1.7874129371219955e-17, 2.5347554030253244e-17, '
+        '2.7143276673882461e-17], "second_moment": [[0.41621621621622146, '
         '0.021621621621621685, -0.0054054054054054465], [0.021621621621621685, '
-        '0.30810810810810929, 0.010810810810810877], [-0.005405405405405443, '
-        '0.010810810810810877, 0.27567567567567586]], "covariance": [[0.41621621621622157, '
+        '0.30810810810810907, 0.010810810810810867], [-0.0054054054054054465, '
+        '0.010810810810810863, 0.27567567567567575]], "covariance": [[0.41621621621622146, '
         '0.021621621621621685, -0.0054054054054054465], [0.021621621621621685, '
-        '0.30810810810810929, 0.010810810810810877], [-0.005405405405405443, '
-        '0.010810810810810877, 0.27567567567567586]], "source": "oracle", '
+        '0.30810810810810907, 0.010810810810810867], [-0.0054054054054054465, '
+        '0.010810810810810863, 0.27567567567567575]], "source": "oracle", '
         '"provenance": {"method": "sphere_product", "resolution": 256, '
-        '"mass": 1.0000000000000004}}, "max_abs_dev": 5.3290705182007514e-15}\n',
+        '"mass": 1}}, "max_abs_dev": 5.2180482157382357e-15}\n',
     ),
 }
 

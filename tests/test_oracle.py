@@ -44,6 +44,11 @@ def test_mc_spec_validation():
         with pytest.raises(ValidationError, match="n must be an integer >= 2"):
             oracle.McSpec(bad_n, 10_000, 1)
     assert oracle.McSpec(np.int64(3), 10_000, np.uint32(0)).seed == 0
+    # the spec's dimension must be the distribution's
+    dist = d.vmf([1.0, 0.0, 0.0], 1.0)
+    for estimate in (oracle.mc_moments, oracle.mc_normalization):
+        with pytest.raises(ValidationError, match="spec dimension 4 does not match .* 3"):
+            estimate(dist, oracle.McSpec(4, 10_000, 1))
 
 
 def test_quad_dimension_mismatch():
