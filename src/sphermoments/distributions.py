@@ -100,12 +100,14 @@ class SphericalDistribution:
 
     @functools.cached_property
     def _density_terms(self):
-        """(constant, matrix) of the density: the peanut's c in c theta^T A
-        theta, or the log of the constant factor (None for Bingham outside
-        n = 3) with A^-1 for odf and bingham.  Computed on the first density
-        call, not when built, and kept, so chunked Monte Carlo computes it once."""
+        """(constant, matrix) of the density: the peanut's c and A in c theta^T
+        A theta, A rescaled since tr A overflows near the largest double, or the
+        log of the constant factor (None for Bingham outside n = 3) with A^-1 for
+        odf and bingham.  Computed on the first density call, not when built, and
+        kept, so chunked Monte Carlo computes it once."""
         if self.kind == "peanut":
-            return self.n / (sphere_surface_area(self.n) * np.trace(self.A)), None
+            A = _rescaled(self.A, np.abs(self.A).max())
+            return self.n / (sphere_surface_area(self.n) * np.trace(A)), A
         if self.kind in ("vmf", "bimodal_vmf"):
             lc = _vmf_log_const(self.n, self.k)
             return (lc if self.kind == "vmf" else lc - math.log(2.0)), None
@@ -230,13 +232,11 @@ def validate(dist):
     if not np.all(np.isfinite(dist.A)):
         out.append("A must be finite")
         return out
-    # the signs checked here do not depend on the scale, and the solver squares entries
     sym = _symmetric_part(dist.A)
-    sym = _rescaled(sym, np.abs(sym).max())
-    eigenvalues = jacobi_eigh(sym)
-    if eigenvalues.min() <= 0.0:
+    if jacobi_eigh(sym)[0] <= 0.0:
         out.append("A not positive definite")
-    if np.trace(sym) <= 0.0:
+    # the sign does not depend on the scale, and the sum overflows near the largest double
+    if np.trace(_rescaled(sym, np.abs(sym).max())) <= 0.0:
         out.append("A must have positive trace")
     if dist.kind == "odf" and dist.n != 3:
         out.append("odf densities are defined for n = 3 only")
@@ -306,8 +306,8 @@ def density_many(dist, thetas):
     if dist.kind == "peanut":
         _checked(dist)
         points = _as_points(dist, thetas)
-        c, _ = dist._density_terms
-        return c * _quadratic_form(dist.A, points)
+        c, A = dist._density_terms
+        return c * _quadratic_form(A, points)
     return np.exp(log_density_many(dist, thetas))
 
 

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import density_many, peanut as _peanut, sphere_surface_area
+from .distributions import _quadratic_form, _rescaled, _symmetric_part, density_many
+from .distributions import peanut as _peanut, sphere_surface_area
 from .errors import DomainError, UnsupportedError, ValidationError
 from .moments import _check_concentration, _check_direction
 from .reports import MomentReport
@@ -362,8 +363,9 @@ def sample_peanut(A, count, seed):
     count = _check_count(count)
     seed = _check_seed(seed)
     A = _peanut(A).A
+    A = _rescaled(A, np.abs(A).max())  # the ratio does not depend on the scale of A
     n = len(A)
-    lam_max = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+    lam_max = float(np.linalg.eigvalsh(_symmetric_part(A))[-1])
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     points = np.empty((count, n))
     got = 0
@@ -372,7 +374,7 @@ def sample_peanut(A, count, seed):
         m = max(count - got, 1024)
         theta = rng.standard_normal((m, n))
         theta /= np.linalg.norm(theta, axis=1, keepdims=True)
-        ratio = np.einsum("mi,mi->m", theta @ A, theta) / lam_max
+        ratio = _quadratic_form(A, theta) / lam_max
         theta = theta[rng.random(m) <= ratio]
         take = min(len(theta), count - got)
         points[got : got + take] = theta[:take]

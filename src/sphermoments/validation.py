@@ -18,7 +18,6 @@ QUAD_TOL = 1e-8
 MC_SIGMA = 3.0
 MC_RETRY_SIGMA = 4.0
 IDENTITY_TOL = 1e-9
-BOUND_SLACK = 1e-12
 CONSISTENCY_TOL = 1e-10
 
 
@@ -226,7 +225,7 @@ def anisotropy_bounds_suite(level, seed):
             [rep.fa - fa_max, rep.ratio - anisotropy.PEANUT_R_MAX, 1.0 - rep.ratio]
         )
         worst_excess = max(worst_excess, float(excess.max()))
-        passed &= bool(np.all(excess <= BOUND_SLACK)) and rep.bounds_satisfied
+        passed &= bool(np.all(excess <= anisotropy.BOUND_SLACK)) and rep.bounds_satisfied
         for _ in range(10 if level == "full" else 3):
             a = _random_spd(rng, n)
             rep = anisotropy.peanut_closed_form_report(a, params)

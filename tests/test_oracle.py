@@ -272,6 +272,30 @@ def test_sample_peanut_output_is_pinned(case):
     assert _digest(oracle.sample_peanut(A, 20_000, 31).points) == digest
 
 
+def _scaled_to(A, top):
+    """A times a power of two, so that its largest entry has top's exponent."""
+    return np.ldexp(A, np.frexp(top)[1] - np.frexp(np.abs(A).max())[1])
+
+
+def _same_report(a, b):
+    return all(
+        np.array_equal(x, y) for x, y in
+        ((a.mean, b.mean), (a.second_moment, b.second_moment), (a.covariance, b.covariance))
+    ) and a.provenance["mass"] == b.provenance["mass"]
+
+
+def test_peanut_oracles_near_the_largest_double_match_the_rescaled_copy():
+    # tr A overflows here; c theta^T A theta does not depend on the scale of A
+    A = np.array([[3.0, 0.4, 0.0], [-0.2, 1.0, 0.1], [0.0, 0.3, 0.5]])
+    huge = _scaled_to(A, 1e308)
+    quad = oracle.quad_moments(d.peanut(huge), resolution=16)
+    assert _same_report(quad, oracle.quad_moments(d.peanut(A), resolution=16))
+    assert abs(quad.provenance["mass"] - 1.0) <= 1e-12
+    spec = oracle.McSpec(3, 10_000, 0)
+    mc = oracle.mc_moments(d.peanut(huge), spec)
+    assert _same_report(mc, oracle.mc_moments(d.peanut(A), spec))
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -341,6 +365,15 @@ def test_sample_vmf_matches_closed_form_moments():
 def test_sample_peanut_identity_accepts_everything():
     batch = oracle.sample_peanut(np.eye(3), 10_000, 3)
     assert batch.acceptance_rate == 1.0
+
+
+def test_sample_peanut_does_not_depend_on_the_scale_of_A():
+    A = PINNED_PEANUTS["asymmetric_n5"][0]
+    expected = oracle.sample_peanut(A, 2000, 3)
+    for top in (2.0**600, 2.0**-600, 1e308):
+        batch = oracle.sample_peanut(_scaled_to(A, top), 2000, 3)
+        assert np.array_equal(batch.points, expected.points)
+        assert batch.acceptance_rate == expected.acceptance_rate
 
 
 def test_sample_peanut_covariance_and_mean():
