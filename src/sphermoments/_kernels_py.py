@@ -3,7 +3,8 @@
 ``specfun`` is the public front end; callers are expected to have
 validated their inputs (finite, in domain) before reaching this layer.
 The scalar kernels take floats; ``bessel_ratio_array`` takes a 1-D array
-and reproduces the scalar ``bessel_ratio`` bit for bit.
+of arguments with one order or one order per argument, and reproduces the
+scalar ``bessel_ratio`` bit for bit, each order taking its own branch.
 """
 
 import math
@@ -24,8 +25,10 @@ RATIO_LEADING_TERM_X = 1e-150
 
 
 def series_cutoff(p):
-    """Largest x handled by the power series for order p."""
-    return max(30.0, 0.5 * p * p + 10.0)
+    """Largest x handled by the power series for order p (a number or an array)."""
+    cut = 0.5 * p * p + 10.0
+    # a number keeps max(): np.maximum would add about 1 us to each scalar kernel call
+    return np.maximum(30.0, cut) if isinstance(cut, np.ndarray) else max(30.0, cut)
 
 
 def _bessel_series(p, x):
@@ -149,11 +152,12 @@ def bessel_ratio(p, x):
 
 # ---------------------------------------------------------------------------
 # array kernels: each element takes the scalar kernel's branch and the same
-# floating-point operations in the same order, so results are bit-identical
+# floating-point operations in the same order, so results are bit-identical;
+# orders are arrays too, compacted along with the arguments
 
 
 def _bessel_asymptotic_scaled_array(p, x):
-    """``_bessel_asymptotic_scaled`` elementwise over a 1-D array."""
+    """``_bessel_asymptotic_scaled`` elementwise over 1-D arrays of p and x."""
     mu = 4.0 * p * p
     acc = np.ones(x.shape)
     live = np.arange(x.size)  # elements still summing
@@ -164,15 +168,15 @@ def _bessel_asymptotic_scaled_array(p, x):
             break
         nxt = term * (((2 * m - 1) ** 2 - mu) / (8.0 * xs * m))
         go = ~(np.abs(nxt) >= np.abs(term))
-        live, term, xs = live[go], nxt[go], xs[go]
+        live, term, xs, mu = live[go], nxt[go], xs[go], mu[go]
         acc[live] += term
         go = ~(np.abs(term) <= np.abs(acc[live]) * SERIES_RTOL)
-        live, term, xs = live[go], term[go], xs[go]
+        live, term, xs, mu = live[go], term[go], xs[go], mu[go]
     return acc / np.sqrt(2.0 * math.pi * x)
 
 
 def _ratio_lentz_array(p, x):
-    """``_ratio_lentz`` elementwise over a 1-D array."""
+    """``_ratio_lentz`` elementwise over 1-D arrays of p and x."""
     tiny = 1e-300
     out = np.empty(x.shape)
     live = np.arange(x.size)  # elements not yet converged
@@ -195,29 +199,31 @@ def _ratio_lentz_array(p, x):
         if done.any():
             out[live[done]] = f[done]
             go = ~done
-            live, f, c, d, two_over_x = live[go], f[go], c[go], d[go], two_over_x[go]
+            live, f, c, d, two_over_x, p = live[go], f[go], c[go], d[go], two_over_x[go], p[go]
     if not live.size:
         return out
     raise ConvergenceError(
-        f"Bessel ratio continued fraction stalled (p={p}, x={x[live[0]]})"
+        f"Bessel ratio continued fraction stalled (p={p[0]}, x={x[live[0]]})"
     )
 
 
 def bessel_ratio_array(p, x):
-    """``bessel_ratio`` elementwise over a 1-D array of x >= 0."""
-    out = x / (2.0 * p)
-    live = x >= RATIO_LEADING_TERM_X
-    if p == 0.5:
+    """``bessel_ratio`` elementwise over a 1-D array of x >= 0; ``p`` is one
+    order or a 1-D array of one order per entry of x."""
+    p = np.broadcast_to(p, x.shape)
+    # IEEE overflow stays silent, as in the scalar kernels
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = x / (2.0 * p)
+        live = x >= RATIO_LEADING_TERM_X
+        half = live & (p == 0.5)
         # np.tanh differs from libm's tanh in the last bit for about 1 in 5 inputs
-        out[live] = [math.tanh(v) for v in x[live].tolist()]
-    else:
-        far = x > series_cutoff(p)
-        xf = x[far]
-        near = live & ~far
-        # IEEE overflow stays silent, as in the scalar kernels
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out[far] = _bessel_asymptotic_scaled_array(p, xf) / _bessel_asymptotic_scaled_array(
-                p - 1.0, xf
-            )
-            out[near] = _ratio_lentz_array(p, x[near])
+        out[half] = [math.tanh(v) for v in x[half].tolist()]
+        far = live & ~half & (x > series_cutoff(p))
+        near = live & ~half & ~far
+        pf, xf = p[far], x[far]
+        # orders p and p - 1 in one pass
+        scaled = _bessel_asymptotic_scaled_array(np.concatenate([pf, pf - 1.0]),
+                                                 np.concatenate([xf, xf]))
+        out[far] = np.divide(*np.split(scaled, 2))
+        out[near] = _ratio_lentz_array(p[near], x[near])
     return np.where(out < 1.0, out, _ONE_BELOW)

@@ -73,8 +73,9 @@ def _vmf_coefficients(n, k, scale=1.0):
     r = I_{n/2}(k)/I_{n/2-1}(k) and r2 = I_{n/2+1}(k)/I_{n/2-1}(k); below
     SMALL_K they take their k -> 0 limits (0, scale/n, 0).  ``k`` is a
     checked number, giving floats, or a 1-D array, giving arrays: a number
-    keeps the scalar Bessel kernels, which are faster for one value.  The
-    products are (scale r)/k and (scale I_{n/2+1}/I_{n/2}) r, in that order.
+    keeps two scalar Bessel-ratio calls, which are faster for one value,
+    and an array takes both orders in one array call.  The products are
+    (scale r)/k and (scale I_{n/2+1}/I_{n/2}) r, in that order.
     """
     limits = (0.0, scale / n, 0.0)
     batch = isinstance(k, np.ndarray)
@@ -82,9 +83,13 @@ def _vmf_coefficients(n, k, scale=1.0):
     if not (batch or big):
         return limits
     kb = k[big] if batch else k
-    r = specfun.bessel_ratio(0.5 * n, kb)
+    if batch:
+        orders = np.repeat([0.5 * n, 0.5 * n + 1.0], kb.size)
+        r, r_up = np.split(specfun.bessel_ratio(orders, np.concatenate([kb, kb])), 2)
+    else:
+        r, r_up = specfun.bessel_ratio(0.5 * n, k), specfun.bessel_ratio(0.5 * n + 1.0, k)
     sr = scale * r
-    values = (sr, sr / kb, scale * specfun.bessel_ratio(0.5 * n + 1.0, kb) * r)
+    values = (sr, sr / kb, scale * r_up * r)
     if not batch:
         return values
     coefficients = tuple(np.full(k.shape, limit) for limit in limits)

@@ -100,11 +100,20 @@ def bessel_ratio(p, x):
     ``x`` is a number, giving a float, or a 1-D array, giving an array of
     the same length.  An array is evaluated in one pass per branch, with
     results bit-identical to evaluating each entry as a number; a number
-    keeps the scalar kernels, which are faster for a single value.
+    keeps the scalar kernels, which are faster for a single value.  With an
+    array ``x``, ``p`` may be an array of the same shape holding each
+    entry's order, so several orders share one pass.
     """
-    p = _check_order(p)
-    if p < 0.5:
-        raise DomainError(f"ratio requires order p >= 1/2, got {p}")
+    if isinstance(p, np.ndarray) and p.ndim:
+        if not (isinstance(x, np.ndarray) and p.shape == x.shape):
+            raise DomainError(f"an order array must have the shape of x, got {p.shape}")
+        p = p.astype(float)
+        if not np.all(np.isfinite(p) & (p >= 0.5)):
+            raise DomainError("ratio requires finite orders p >= 1/2")
+    else:
+        p = _check_order(p)
+        if p < 0.5:
+            raise DomainError(f"ratio requires order p >= 1/2, got {p}")
     if isinstance(x, np.ndarray) and x.ndim:
         return _kernels_py.bessel_ratio_array(p, _check_argument_array(x))
     return _kernels_py.bessel_ratio(p, _check_argument(x))

@@ -196,13 +196,13 @@ def bessel_identity_suite(level, seed):
     """coth-based identities for the n=3 Bessel ratios."""
     points = 200 if level == "full" else 50
     grid = np.geomspace(0.05, 50.0, points)
+    # both orders in one array call; the identities run on Python floats
+    both = specfun.bessel_ratio(np.repeat([1.5, 2.5], points), np.concatenate([grid, grid]))
     worst = 0.0
-    for k in grid:
-        k = float(k)
+    for k, r, r_up in zip(grid.tolist(), *(half.tolist() for half in np.split(both, 2))):
         coth = 1.0 / math.tanh(k)
-        r = specfun.bessel_ratio(1.5, k)
         dev1 = abs(r - (coth - 1.0 / k))
-        r2 = specfun.bessel_ratio(2.5, k) * r
+        r2 = r_up * r
         rhs = 1.0 - coth / k + 2.0 / k**2 - coth * coth
         dev2 = abs(r2 - r * r - rhs)
         worst = max(worst, dev1, dev2)

@@ -253,29 +253,46 @@ def test_ratio_rejects_low_order():
         specfun.bessel_ratio(0.3, 1.0)
 
 
-@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.5, 5.0, 6.0])
+# the orders of the mixed case, interleaved over its x values
+MIXED_ORDERS = [0.5, 1.0, 1.5, 2.0, 5.0, 6.0, 7.0, 8.0]
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.5, 5.0, 6.0, "mixed"])
 def test_ratio_array_is_bit_identical_to_scalar(p):
     # every branch: the leading term x/(2p) (x = 0 and tiny x, subnormals too),
     # tanh (p = 1/2), Lentz up to series_cutoff(p), asymptotic above
-    cut = _kernels_py.series_cutoff(p)
+    mixed = p == "mixed"
+    cut = _kernels_py.series_cutoff(MIXED_ORDERS[-1] if mixed else p)
     lead = _kernels_py.RATIO_LEADING_TERM_X
     x = np.concatenate([
         [0.0, 5e-324, 1e-310, 1e-305, 1e-300, 1e-290, 1e-12],
         [np.nextafter(lead, 0.0), lead, np.nextafter(lead, np.inf)],
         [cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), 1e5],
         np.geomspace(1e-4, 1e5, 400),
-        np.random.default_rng(int(2 * p)).uniform(0.5 * cut, 2.0 * cut, 200),
+        np.random.default_rng(7 if mixed else int(2 * p)).uniform(0.5 * cut, 2.0 * cut, 200),
     ])
+    if mixed:
+        # in (34.5, 42] order 7 takes the asymptotic branch and order 8 Lentz,
+        # so each entry takes its own order's branch; every order meets each x
+        x = np.concatenate([x, np.linspace(34.5, 42.0, 8 * 9)[1:], np.repeat(x, 8)])
+        p = np.resize(MIXED_ORDERS, x.size)
+        assert _kernels_py.series_cutoff(7.0) == 34.5
     got = specfun.bessel_ratio(p, x)
     assert isinstance(got, np.ndarray) and got.shape == x.shape
-    want = np.array([specfun.bessel_ratio(p, float(v)) for v in x])
+    orders = np.broadcast_to(p, x.shape).tolist()
+    want = np.array([specfun.bessel_ratio(q, v) for q, v in zip(orders, x.tolist())])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert specfun.bessel_ratio(p, x[:0]).shape == (0,)
+    assert specfun.bessel_ratio(p[:0] if mixed else p, x[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [
     [1.0, math.nan], [2.0, -1.0], [1.0, math.inf], [-0.5], [[1.0, 2.0]],
+    # (orders, x): another shape than x, an order below 1/2, a NaN order, an
+    # infinite order, a 2-D order array against 1-D and 2-D x
+    ([1.5, 2.5, 3.5], [1.0, 2.0]), ([1.5, 0.4], [1.0, 2.0]), ([math.nan, 1.5], [1.0, 2.0]),
+    ([1.5, math.inf], [1.0, 2.0]), ([[1.5, 2.5]], [1.0, 2.0]), ([[1.5, 2.5]], [[1.0, 2.0]]),
 ])
 def test_ratio_array_rejects_out_of_domain(bad):
+    p, x = (np.array(bad[0]), bad[1]) if isinstance(bad, tuple) else (1.5, bad)
     with pytest.raises(DomainError):
-        specfun.bessel_ratio(1.5, np.array(bad))
+        specfun.bessel_ratio(p, np.array(x))

@@ -19,6 +19,8 @@ PEANUT2 = '{"kind":"peanut","n":2,"A":[[1,0],[0,1]]}'
 PEANUT3 = '{"kind":"peanut","n":3,"A":[[1,0,0],[0,1,0],[0,0,1]]}'
 BIM5 = '{"kind":"bimodal_vmf","n":5,"u":[0,0,0.6,-0.8,0],"k":1}'
 BIM3 = '{"kind":"bimodal_vmf","n":3,"u":[0,0,1],"k":1}'
+BIM14 = '{"kind":"bimodal_vmf","n":14,"u":[0,0,0,0,0,0,0,0,0,0,0,0.6,-0.8,0],"k":1}'
+VMF2 = '{"kind":"vmf","n":2,"u":[0.6,-0.8],"k":1}'
 K_GRID = "0,0.5,2,30,1e5"
 T_GRID = "0.05,0.5,1,3,20"
 ALL = "fa,ratio,eigenvalues,mean_norm"
@@ -56,6 +58,12 @@ SWEEP_CASES = {
                       "--s", "1e-150", "--outputs", ALL),
     "nonfinite_json": ("--dist-json", BIM3, "--parameter", "k", "--grid", "1,1e300",
                        "--s", "1e-150", "--outputs", ALL, *JSON),
+    # both Bessel-ratio orders in one array pass: k below SMALL_K takes the limits,
+    # and at n = 14 k in (34.5, 42] puts order 7 asymptotic and order 8 on Lentz
+    "bimodal14_json": ("--dist-json", BIM14, "--parameter", "k",
+                       "--grid", "0,5e-324,1e-150,1,34.5,38,42,1e5,1e300", *JSON, *MOTILITY),
+    "vmf2_csv": ("--dist-json", VMF2, "--parameter", "k", "--grid", "0,5e-324,1e-150,1,30,1e5",
+                 "--outputs", ALL, *MOTILITY),
 }
 
 SWEEP_OUTPUT_GOLDEN = {
@@ -205,6 +213,29 @@ SWEEP_OUTPUT_GOLDEN = {
         '{"parameter": "k", "value": 1.0000000000000001e+300, "fa": 1, "ratio": "inf", '
         '"eigenvalue_1": 9.9999999999999969e-301, "eigenvalue_2": 0, "eigenvalue_3": 0, '
         '"mean_norm": 0}]}\n'
+    ),
+    "bimodal14_json": (
+        '{"schema": "1", "rows": [{"parameter": "k", "value": 0, "fa": null, "ratio": 1}, '
+        '{"parameter": "k", "value": 4.9406564584124654e-324, "fa": null, "ratio": 1}, '
+        '{"parameter": "k", "value": 1e-150, "fa": null, "ratio": 1}, {"parameter": "k", '
+        '"value": 1, "fa": null, "ratio": 1.0622843326759954}, {"parameter": "k", '
+        '"value": 34.5, "fa": null, "ratio": 28.719962404078149}, {"parameter": "k", '
+        '"value": 38, "fa": null, "ratio": 32.153101049125468}, {"parameter": "k", '
+        '"value": 42, "fa": null, "ratio": 36.090333619949099}, {"parameter": "k", '
+        '"value": 100000, "fa": null, "ratio": 99993.500243752424}, {"parameter": "k", '
+        '"value": 1.0000000000000001e+300, "fa": null, "ratio": 9.999999999999999e+299}]}\n'
+    ),
+    "vmf2_csv": (
+        "parameter,value,fa,ratio,eigenvalue_1,eigenvalue_2,mean_norm\n"
+        "k,0,0,1,0.23823529411764707,0.23823529411764707,0\n"
+        "k,4.9406564584124654e-324,0,1,0.23823529411764707,0.23823529411764707,0\n"
+        "k,1e-150,0,1,0.23823529411764707,0.23823529411764707,0\n"
+        "k,1,0.16149919839709675,1.25975720063713,0.21269168963305465,0.16883546252046389,"
+        "0.44638996589653446\n"
+        "k,30,0.98260446791487488,57.973163120499486,0.015615363526390619,"
+        "0.00026935503750129134,0.98318955536533525\n"
+        "k,100000,0.99999499993631458,199997.95260693398,4.7646820587639706e-06,"
+        "2.3823654175741686e-11,0.99999499998749997\n"
     ),
 }
 

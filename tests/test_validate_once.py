@@ -1,10 +1,11 @@
 """Each distribution is validated once, when it is built, and builds its
-density constant once, on its first density call.
+density constant once, on its first density call; a sweep takes both of its
+Bessel-ratio orders in one call.
 
 The counts go through every module-level binding of ``jacobi_eigh`` (the
 positive-definiteness check inside ``validate``, which returns the
-eigenvalues only) and of ``validate``, so a re-validation made through a
-name imported into another module counts too.
+eigenvalues only) and of ``validate``, or of the functions named, so a call
+made through a name imported into another module counts too.
 """
 
 import json
@@ -24,9 +25,9 @@ from util import random_spd, rng_for
 def start_counting(monkeypatch):
     """Call it to start counting; it returns the live {name: calls} dict."""
 
-    def start():
+    def start(originals=(_linalg.jacobi_eigh, distributions.validate)):
         counts = {}
-        for original in (_linalg.jacobi_eigh, distributions.validate):
+        for original in originals:
             name = original.__name__
             counts[name] = 0
 
@@ -80,6 +81,28 @@ def test_cli_sweep_builds_no_object_for_the_closed_routes(
             "--grid", "0.5,2"]
     assert cli.main(argv) == 0
     assert counts["validate"] == validations
+
+
+@pytest.mark.parametrize("kind, outputs, calls", [
+    ("bimodal_vmf", "fa,ratio", 1),
+    # the generic route's covariance and the mean, one call each
+    ("vmf", "fa,ratio,mean_norm", 2),
+])
+def test_cli_sweep_takes_both_bessel_ratio_orders_in_one_call(
+    capsys, start_counting, kind, outputs, calls
+):
+    counts = start_counting((specfun.bessel_ratio,))
+    payload = {"kind": kind, "n": 3, "u": [0, 0, 1], "k": 1}
+    argv = ["sweep", "--dist-json", json.dumps(payload), "--parameter", "k",
+            "--grid", "0,0.5,2,40,1e5", "--outputs", outputs]
+    assert cli.main(argv) == 0
+    assert counts == {"bessel_ratio": calls}
+
+
+def test_scalar_vmf_moments_takes_one_bessel_ratio_call_per_order(start_counting):
+    counts = start_counting((specfun.bessel_ratio,))
+    moments.vmf_moments(2.0, [0.0, 0.6, 0.8])
+    assert counts == {"bessel_ratio": 2}
 
 
 def test_mc_moments_does_not_revalidate(start_counting):
