@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _checked, _is_symmetric, _moderate, _rescaled, _symmetric_part
+from .distributions import _checked, _is_symmetric, _symmetric_part
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -168,6 +168,23 @@ def symmetric_eigen(M):
     return w, np.where(lead < 0.0, -V, V)
 
 
+def _moderate(top):
+    """Whether every top = m 2^e has |e| <= 400, so that squares near it neither
+    overflow nor underflow, and LAPACK's eigensolvers, which rescale a matrix
+    below about 2^-405 by a factor that is not a power of two, take it as it is."""
+    magnitudes = np.abs(top).ravel().tolist()  # Python's min and max are faster here
+    return 2.0**-401 <= min(magnitudes, default=1.0) and max(magnitudes, default=1.0) < 2.0**400
+
+
+def _rescaled(x, top):
+    """x times 2^-e, exactly, where top = m 2^e is beyond 2^(+-400) and squares
+    near it overflow or underflow; for quantities that do not depend on the scale."""
+    if _moderate(top):
+        return x
+    e = np.frexp(top)[1]
+    return np.ldexp(x, np.where(np.abs(e) > 400, -e, 0))
+
+
 def fractional_anisotropy(eigenvalues):
     """FA of a tensor with the given nonnegative eigenvalues (n in {2,3}).
 
@@ -257,22 +274,18 @@ def peanut_closed_form_report(A, params):
     Demands symmetric positive-definite A (symmetrize upstream if an
     asymmetric matrix is intended); the tensor eigenvalues are
     (s^2/(mu (n+2))) (1 + 2 lhat_i / tr A).  An (m, n, n) stack of
-    matrices gives a batch report.  An eigenvalue of A above the largest
-    double raises DomainError.
+    matrices gives a batch report.  The report does not depend on the scale
+    of A, so a matrix whose largest entry lies beyond 2^(+-400) is scaled by
+    a power of two before the eigensolve: any finite valid A gives a report.
     """
     A = np.asarray(A, dtype=float)
+    if A.ndim in (2, 3):  # else symmetric_eigen raises
+        A = _rescaled(A, np.abs(A).max(axis=(-2, -1), keepdims=True))
     lam_hat, _ = symmetric_eigen(A)  # raises on asymmetric input
-    top = lam_hat[..., :1]
-    if not np.isfinite(top).all():
-        raise DomainError("an eigenvalue of A overflows a double; divide A by a "
-                          "power of two (the peanut does not depend on its scale)")
     if np.any(lam_hat[..., -1] <= 0.0):
         raise ValidationError("A not positive definite")
     n = A.shape[-1]
-    # the report does not depend on the scale of A: scale its eigenvalues and
-    # trace where their squares, or tr A + 2 lhat_i, would overflow or underflow
-    lam_hat = _rescaled(lam_hat, top)
-    trace = np.trace(_rescaled(A, top[..., None]), axis1=-2, axis2=-1)[..., None]
+    trace = np.trace(A, axis1=-2, axis2=-1)[..., None]
     eigenvalues = params.factor / (n + 2) * (1.0 + 2.0 * lam_hat / trace)
     lam = np.moveaxis(lam_hat, -1, 0)  # lam[i]: the i-th eigenvalue of each A
     shifted = np.moveaxis(trace + 2.0 * lam_hat, -1, 0)  # tr A + 2 lhat_i

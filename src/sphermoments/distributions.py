@@ -99,27 +99,37 @@ class SphericalDistribution:
         object.__setattr__(self, "_violations", tuple(validate(self)))
 
     @functools.cached_property
+    def _scaled(self):
+        """(A, delta) for every check, density and closed form: the given pair, or
+        (2^-e A, 2^e delta) where max|A| = m 2^e has n|e| > 600, so that det A and
+        log det A stay accurate; the peanut and odf do not depend on the scale of A,
+        nor the Bingham on that of A delta."""
+        e = int(np.frexp(np.abs(self.A).max())[1])
+        if self.n * abs(e) <= 600:
+            return self.A, self.delta
+        with np.errstate(over="ignore"):  # validate reports an A delta beyond doubles
+            delta = None if self.delta is None else float(np.ldexp(self.delta, e))
+        return np.ldexp(self.A, -e), delta
+
+    @functools.cached_property
     def _density_terms(self):
-        """(constant, matrix) of the density: the peanut's c and A in c theta^T
-        A theta, A rescaled since tr A overflows near the largest double, or the
-        log of the constant factor (None for Bingham outside n = 3) with A^-1 for
-        odf and bingham.  Computed on the first density call, not when built, and
-        kept, so chunked Monte Carlo computes it once."""
-        if self.kind == "peanut":
-            A = _rescaled(self.A, np.abs(self.A).max())
-            return self.n / (sphere_surface_area(self.n) * np.trace(A)), A
+        """(constant, matrix) of the density, from the scaled pair: the peanut's c
+        and A in c theta^T A theta, or the log of the constant factor (None for
+        Bingham outside n = 3) with A^-1 for odf and bingham.  Computed on the first
+        density call, not when built, and kept, so chunked Monte Carlo computes it once."""
         if self.kind in ("vmf", "bimodal_vmf"):
             lc = _vmf_log_const(self.n, self.k)
             return (lc if self.kind == "vmf" else lc - math.log(2.0)), None
+        A, delta = self._scaled
+        if self.kind == "peanut":
+            return self.n / (sphere_surface_area(self.n) * np.trace(A)), A
         if self.kind == "odf":
-            lc = -math.log(4.0 * math.pi) - 0.5 * math.log(np.linalg.det(self.A))
+            lc = -math.log(4.0 * math.pi) - 0.5 * math.log(np.linalg.det(A))
         elif self.n == 3:
-            lc = -0.5 * (
-                math.log(np.linalg.det(self.A)) + 3.0 * math.log(4.0 * math.pi * self.delta)
-            )
+            lc = -0.5 * (math.log(np.linalg.det(A)) + 3.0 * math.log(4.0 * math.pi * delta))
         else:
             lc = None
-        return lc, np.linalg.inv(self.A)
+        return lc, np.linalg.inv(A)
 
 
 def _length(x, name):
@@ -160,10 +170,10 @@ def _checked(dist):
 
 
 def _is_symmetric(A):
-    """Whether A (or each matrix of a stack) is symmetric to 1e-10 max(1, max|A|)."""
+    """Whether A (or each matrix of a stack) is symmetric to 1e-10 max|A|, at any scale."""
     half = 0.5 * A  # halves first: A - A^T overflows for entries near the largest double
     gap = np.max(np.abs(half - np.swapaxes(half, -1, -2)), axis=(-2, -1))
-    return gap <= 0.5e-10 * np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    return gap <= 0.5e-10 * np.max(np.abs(A), axis=(-2, -1))
 
 
 def _symmetric_part(A):
@@ -173,22 +183,6 @@ def _symmetric_part(A):
     if np.abs(A).max() < 2.0**1022:
         return 0.5 * (A + At)
     return 0.5 * A + 0.5 * At
-
-
-def _moderate(top):
-    """Whether every top = m 2^e has |e| <= 450, so that squares near it
-    neither overflow nor underflow."""
-    magnitudes = np.abs(top).ravel().tolist()  # Python's min and max are faster here
-    return 2.0**-451 <= min(magnitudes, default=1.0) and max(magnitudes, default=1.0) < 2.0**450
-
-
-def _rescaled(x, top):
-    """x times 2^-e, exactly, where top = m 2^e is beyond 2^(+-450) and squares
-    near it overflow or underflow; for quantities that do not depend on the scale."""
-    if _moderate(top):
-        return x
-    e = np.frexp(top)[1]
-    return np.ldexp(x, np.where(np.abs(e) > 450, -e, 0))
 
 
 def validate(dist):
@@ -232,19 +226,21 @@ def validate(dist):
     if not np.all(np.isfinite(dist.A)):
         out.append("A must be finite")
         return out
-    sym = _symmetric_part(dist.A)
+    A, delta = dist._scaled
+    sym = _symmetric_part(A)
     if jacobi_eigh(sym)[0] <= 0.0:
         out.append("A not positive definite")
-    # the sign does not depend on the scale, and the sum overflows near the largest double
-    if np.trace(_rescaled(sym, np.abs(sym).max())) <= 0.0:
+    if np.trace(sym) <= 0.0:
         out.append("A must have positive trace")
+    if delta in (0.0, math.inf) and 0.0 < dist.delta < math.inf:
+        out.append("A delta must be a positive finite double; choose units that make it one")
     if dist.kind == "odf" and dist.n != 3:
         out.append("odf densities are defined for n = 3 only")
     if dist.kind in ("odf", "bingham"):
         # these normalization constants assume a symmetric tensor
         if not _is_symmetric(dist.A):
             out.append(f"A must be symmetric for {dist.kind}")
-        det = np.linalg.det(dist.A)
+        det = np.linalg.det(A)
         if not math.isfinite(det) or det <= 0.0:
             out.append("A not invertible")
     return out
@@ -296,8 +292,10 @@ def log_density_many(dist, thetas):
     qf = _quadratic_form(inverse, points)
     if dist.kind == "odf":
         return lc - 1.5 * np.log(qf)
-    # bingham; normalization constant only known for n = 3
-    arg = -qf / (4.0 * dist.delta)
+    # bingham; normalization constant only known for n = 3.  A concentrated
+    # one overflows here, quietly, to a density of 0
+    with np.errstate(over="ignore"):
+        arg = -qf / (4.0 * dist._scaled[1])
     return arg if lc is None else lc + arg
 
 

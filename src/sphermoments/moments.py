@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .distributions import UNIT_NORM_TOL, _checked, _rescaled, peanut as _peanut
+from .distributions import UNIT_NORM_TOL, _checked, peanut as _peanut
 from .errors import DomainError, UnsupportedError, ValidationError
 from .reports import MomentReport
 
@@ -168,7 +168,7 @@ def closed_form_moments(dist):
         return bimodal_vmf_moments(dist.k, dist.u)
     if dist.kind != "peanut":
         return None
-    A = _rescaled(dist.A, np.abs(dist.A).max())  # the moments do not depend on the scale of A
+    A = dist._scaled[0]
     n = dist.n
     second = np.eye(n) / (n + 2) + (A + A.T) / ((n + 2) * np.trace(A))
     return MomentReport(np.zeros(n), second, second, "closed_form")

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import _quadratic_form, _rescaled, _symmetric_part, density_many
+from .distributions import _quadratic_form, _symmetric_part, density_many
 from .distributions import peanut as _peanut, sphere_surface_area
 from .errors import DomainError, UnsupportedError, ValidationError
 from .moments import _check_concentration, _check_direction
@@ -134,6 +134,15 @@ def _raw_from_nodes(dist, points, weights, orders):
     return out
 
 
+def _check_mass(dist, mass):
+    """DomainError unless the oracle's mass is positive and finite."""
+    if not 0.0 < mass < math.inf:
+        limit = ("; exp(-theta^T A^-1 theta / (4 delta)) underflows where A delta is small, and "
+                 "the n = 3 constant is the Gaussian one on R^3, not the Bingham normaliser"
+                 if dist.kind == "bingham" else "")
+        raise DomainError(f"the {dist.kind} density integrates to {mass} on the sphere{limit}")
+
+
 def _check_spec_matches(dist, spec):
     if spec.n != dist.n:
         raise ValidationError(
@@ -150,6 +159,7 @@ def quad_moments(dist, *, resolution=256, check=True):
     """
     points, weights = _nodes(dist.n, resolution)
     raw = _raw_from_nodes(dist, points, weights, (0, 1, 2))
+    _check_mass(dist, raw[0])
     warnings = []
     if check:
         raw_fine = _raw_from_nodes(dist, *_nodes(dist.n, 2 * resolution), (1, 2))
@@ -244,6 +254,7 @@ def mc_moments(dist, spec):
     _check_spec_matches(dist, spec)
     acc = _mc_accumulate(dist, spec, (0, 1, 2))
     mass, mass_se = acc[0]
+    _check_mass(dist, mass)
     mean, mean_se = acc[1]
     second, second_se = acc[2]
     cov = second - np.outer(mean, mean)
@@ -362,8 +373,7 @@ def sample_peanut(A, count, seed):
     """
     count = _check_count(count)
     seed = _check_seed(seed)
-    A = _peanut(A).A
-    A = _rescaled(A, np.abs(A).max())  # the ratio does not depend on the scale of A
+    A = _peanut(A)._scaled[0]
     n = len(A)
     lam_max = float(np.linalg.eigvalsh(_symmetric_part(A))[-1])
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

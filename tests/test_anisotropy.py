@@ -388,7 +388,7 @@ def test_scale_invariance_generic_path():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_fa_and_ratio_ignore_extreme_motility_scales(n):
-    # beyond 2^(+-450) the scaled tensor is subnormal or huge and keeps fewer
+    # beyond 2^(+-400) the scaled tensor is subnormal or huge and keeps fewer
     # bits; FA and the ratio keep those of s^2/mu = 1, the eigenvalues scale
     rng = rng_for(16 + n)
     u = random_unit(rng, n)

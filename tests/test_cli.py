@@ -274,12 +274,48 @@ def test_peanut_at_extreme_scales_of_a(capsys, case):
     np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-15, atol=0.0)
 
 
-def test_peanut_eigenvalue_overflow_is_domain_error(capsys):
-    # A is finite and positive definite, but its largest eigenvalue is 2.7e308
-    dist = '{"kind":"peanut","n":2,"A":[[1.7e308,1e308],[1e308,1.7e308]]}'
-    code, out = run_cli(capsys, "anisotropy", "--dist-json", dist)
+def test_peanut_whose_eigenvalue_overflows_matches_its_scaled_copy(capsys):
+    # A is finite and positive definite, but its largest eigenvalue is 2.7e308;
+    # the report does not depend on the scale of A
+    A = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+    outputs = []
+    for a in (A, np.ldexp(A, -1024)):
+        dist = json.dumps({"kind": "peanut", "n": 2, "A": a.tolist()})
+        code, out = run_cli(capsys, "anisotropy", "--dist-json", dist)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def _diagonal(kind, value, **extra):
+    return json.dumps({"kind": kind, "n": 3, "A": (value * np.eye(3)).tolist(), **extra})
+
+
+@pytest.mark.parametrize("dist", [
+    _diagonal("odf", 1e200),
+    _diagonal("odf", 1e-200),
+    _diagonal("bingham", 1e200, delta=1e-200),
+])
+def test_odf_and_bingham_at_extreme_scales_of_a(capsys, dist):
+    # the odf does not depend on the scale of A, the Bingham only on A delta;
+    # pytest turns a RuntimeWarning (det overflowing, say) into an error
+    code, out = run_cli(capsys, "moments", "--oracle", "quad", "--resolution", "16",
+                        "--dist-json", dist)
+    assert code == 0
+    mass = json.loads(out)["oracle"]["provenance"]["mass"]
+    assert 0.0 < mass < math.inf
+    if json.loads(dist)["kind"] == "odf":
+        assert abs(mass - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("A, delta", [(np.diag([1e-300, 1.0, 1.0]), 1e-300), (np.eye(3), 1e-6)])
+@pytest.mark.parametrize("method", ["quad", "mc"])
+def test_bingham_whose_density_underflows_is_domain_error(capsys, A, delta, method):
+    dist = json.dumps({"kind": "bingham", "n": 3, "A": A.tolist(), "delta": delta})
+    code, out = run_cli(capsys, "moments", "--oracle", method, "--resolution", "16",
+                        "--samples", "10000", "--dist-json", dist)
     assert code == 2
-    assert "overflows a double" in json.loads(out)["error"]
+    assert "Gaussian one on R^3" in json.loads(out)["error"]
 
 
 def test_asymmetric_peanut_near_the_largest_double(capsys):

@@ -78,6 +78,14 @@ def test_validate_bingham_delta():
     assert any("delta" in v for v in d.validate(dist))
 
 
+def test_validate_bingham_a_delta_beyond_the_doubles():
+    # the Bingham depends on A and delta only through A delta, here 1e600 and 1e-600
+    for scale in (1e300, 1e-300):
+        dist = d.SphericalDistribution("bingham", 3, A=scale * np.eye(3), delta=scale)
+        assert len(dist._violations) == 1
+        assert "A delta must be a positive finite double" in dist._violations[0]
+
+
 def test_validate_quadratic_form_kinds_require_symmetry():
     # asymmetric input is meaningful for the peanut but would silently
     # break the odf/bingham normalization constants

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from sphermoments import anisotropy as an
 from sphermoments import distributions as d
 from sphermoments import moments, oracle
 from sphermoments.errors import DomainError, UnsupportedError, ValidationError
@@ -294,6 +297,60 @@ def test_peanut_oracles_near_the_largest_double_match_the_rescaled_copy():
     spec = oracle.McSpec(3, 10_000, 0)
     mc = oracle.mc_moments(d.peanut(huge), spec)
     assert _same_report(mc, oracle.mc_moments(d.peanut(A), spec))
+
+
+# 2^j A for every j in [-1000, 1000] keeps every entry a normal double.  The
+# largest entry is 3 = (3/4) 2^2, so 2^j A is scaled when built for 3 |j + 2| > 600
+SCALE_A = {
+    "symmetric": np.array([[3.0, 0.4, 0.0], [0.4, 1.0, 0.1], [0.0, 0.1, 0.5]]),
+    "asymmetric": np.array([[3.0, 0.4, 0.0], [-0.2, 1.0, 0.1], [0.0, 0.3, 0.5]]),
+}
+BEYOND_THE_WINDOW = st.one_of(st.integers(-1000, -203), st.integers(199, 1000))
+
+
+def _peanut_outputs(A):
+    dist = d.peanut(A)
+    P1 = an.MotilityParams(1.0, 1.0)
+    reports = [an.anisotropy_report(dist, P1)]
+    if np.array_equal(A, A.T):
+        reports.append(an.peanut_closed_form_report(A, P1))
+    quad = oracle.quad_moments(dist, resolution=16)
+    out = [moments.closed_form_moments(dist).covariance, quad.mean, quad.second_moment,
+           quad.provenance["mass"], oracle.sample_peanut(A, 2000, 3).points]
+    return out + [x for r in reports for x in (r.eigenvalues, r.fa, r.ratio)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-1000, 1000))
+@pytest.mark.parametrize("case", sorted(SCALE_A))
+def test_peanut_outputs_do_not_depend_on_the_scale_of_a(case, j):
+    A = SCALE_A[case]
+    for x, y in zip(_peanut_outputs(A), _peanut_outputs(np.ldexp(A, j))):
+        assert np.array_equal(x, y)
+
+
+def _odf_or_bingham_outputs(kind, j):
+    A = np.ldexp(SCALE_A["symmetric"], j)
+    dist = d.odf(A) if kind == "odf" else d.bingham(A, np.ldexp(0.4, -j))
+    quad = oracle.quad_moments(dist, resolution=16)
+    points = oracle.uniform_sphere(3, 200, 4)
+    return [d.density_many(dist, points), quad.second_moment, quad.covariance,
+            np.array([quad.provenance["mass"]]), quad.mean]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-1000, 1000), BEYOND_THE_WINDOW, BEYOND_THE_WINDOW)
+@pytest.mark.parametrize("kind", ["odf", "bingham"])
+def test_odf_and_bingham_outputs_depend_on_the_scale_of_a_only_through_rounding(kind, j, i, k):
+    # log det A moves in its last bits with the scale of A, so the scaled copies
+    # beyond the window agree bit for bit, and agree with A itself to rounding
+    base, scaled = _odf_or_bingham_outputs(kind, 0), _odf_or_bingham_outputs(kind, j)
+    for x, y in zip(base[:-1], scaled[:-1]):
+        assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(x))
+    # the mean is 0 up to rounding, so its error is measured on the second moment's scale
+    assert np.max(np.abs(base[-1] - scaled[-1])) <= 1e-13 * np.max(np.abs(base[1]))
+    for x, y in zip(_odf_or_bingham_outputs(kind, i), _odf_or_bingham_outputs(kind, k)):
+        assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
