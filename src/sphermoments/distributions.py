@@ -101,9 +101,9 @@ class SphericalDistribution:
     @functools.cached_property
     def _scaled(self):
         """(A, delta) for every check, density and closed form: the given pair, or
-        (2^-e A, 2^e delta) where max|A| = m 2^e has n|e| > 600, so that det A and
-        log det A stay accurate; the peanut and odf do not depend on the scale of A,
-        nor the Bingham on that of A delta."""
+        (2^-e A, 2^e delta) where max|A| = m 2^e has n|e| > 600.  That bounds the log
+        det A which the odf and Bingham log densities cancel, keeping them to 1e-13; the
+        peanut and odf do not depend on the scale of A, nor the Bingham on that of A delta."""
         e = int(np.frexp(np.abs(self.A).max())[1])
         if self.n * abs(e) <= 600:
             return self.A, self.delta
@@ -124,9 +124,9 @@ class SphericalDistribution:
         if self.kind == "peanut":
             return self.n / (sphere_surface_area(self.n) * np.trace(A)), A
         if self.kind == "odf":
-            lc = -math.log(4.0 * math.pi) - 0.5 * math.log(np.linalg.det(A))
+            lc = -math.log(4.0 * math.pi) - 0.5 * np.linalg.slogdet(A)[1]
         elif self.n == 3:
-            lc = -0.5 * (math.log(np.linalg.det(A)) + 3.0 * math.log(4.0 * math.pi * delta))
+            lc = -0.5 * (np.linalg.slogdet(A)[1] + 3.0 * math.log(4.0 * math.pi * delta))
         else:
             lc = None
         return lc, np.linalg.inv(A)
@@ -240,8 +240,7 @@ def validate(dist):
         # these normalization constants assume a symmetric tensor
         if not _is_symmetric(dist.A):
             out.append(f"A must be symmetric for {dist.kind}")
-        det = np.linalg.det(A)
-        if not math.isfinite(det) or det <= 0.0:
+        if np.linalg.slogdet(A)[0] <= 0.0:  # det A may underflow; its sign does not
             out.append("A not invertible")
     return out
 

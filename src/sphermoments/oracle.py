@@ -134,13 +134,18 @@ def _raw_from_nodes(dist, points, weights, orders):
     return out
 
 
-def _check_mass(dist, mass):
-    """DomainError unless the oracle's mass is positive and finite."""
-    if not 0.0 < mass < math.inf:
-        limit = ("; exp(-theta^T A^-1 theta / (4 delta)) underflows where A delta is small, and "
-                 "the n = 3 constant is the Gaussian one on R^3, not the Bingham normaliser"
-                 if dist.kind == "bingham" else "")
-        raise DomainError(f"the {dist.kind} density integrates to {mass} on the sphere{limit}")
+def _check_mass(dist, mass, method):
+    """DomainError unless the mass that quadrature or Monte Carlo computed is
+    positive and finite."""
+    if 0.0 < mass < math.inf:
+        return
+    why = ""
+    if dist.kind == "bingham":
+        why = "; exp(-theta^T A^-1 theta / (4 delta)) underflows where A delta is small"
+        if dist.n == 3:
+            why += (", and the n = 3 constant is the Gaussian one on R^3, "
+                    "not the Bingham normaliser")
+    raise DomainError(f"the {method} mass of the {dist.kind} density is {mass}{why}")
 
 
 def _check_spec_matches(dist, spec):
@@ -159,7 +164,7 @@ def quad_moments(dist, *, resolution=256, check=True):
     """
     points, weights = _nodes(dist.n, resolution)
     raw = _raw_from_nodes(dist, points, weights, (0, 1, 2))
-    _check_mass(dist, raw[0])
+    _check_mass(dist, raw[0], "quadrature")
     warnings = []
     if check:
         raw_fine = _raw_from_nodes(dist, *_nodes(dist.n, 2 * resolution), (1, 2))
@@ -254,7 +259,7 @@ def mc_moments(dist, spec):
     _check_spec_matches(dist, spec)
     acc = _mc_accumulate(dist, spec, (0, 1, 2))
     mass, mass_se = acc[0]
-    _check_mass(dist, mass)
+    _check_mass(dist, mass, "Monte Carlo")
     mean, mean_se = acc[1]
     second, second_se = acc[2]
     cov = second - np.outer(mean, mean)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from sphermoments import cli, distributions, validation
+from sphermoments import cli, distributions, oracle, validation
 
 PEANUT31 = '{"kind":"peanut","n":2,"A":[[3,0],[0,1]]}'
 VMF3 = '{"kind":"vmf","n":3,"u":[1,0,0],"k":2}'
@@ -287,25 +287,43 @@ def test_peanut_whose_eigenvalue_overflows_matches_its_scaled_copy(capsys):
     assert outputs[0] == outputs[1]
 
 
-def _diagonal(kind, value, **extra):
-    return json.dumps({"kind": kind, "n": 3, "A": (value * np.eye(3)).tolist(), **extra})
+def _diagonal(kind, diagonal, **extra):
+    return {"kind": kind, "n": 3, "A": np.diag(diagonal).tolist(), **extra}
 
 
-@pytest.mark.parametrize("dist", [
-    _diagonal("odf", 1e200),
-    _diagonal("odf", 1e-200),
-    _diagonal("bingham", 1e200, delta=1e-200),
-])
-def test_odf_and_bingham_at_extreme_scales_of_a(capsys, dist):
-    # the odf does not depend on the scale of A, the Bingham only on A delta;
-    # pytest turns a RuntimeWarning (det overflowing, say) into an error
+@pytest.mark.parametrize("data", [
+    _diagonal("odf", [1e200] * 3),
+    _diagonal("odf", [1e-200] * 3),
+    _diagonal("odf", [1e200, 1, 1]),
+    _diagonal("odf", [1e160, 1, 1]),
+    _diagonal("bingham", [1e200] * 3, delta=1e-200),
+    _diagonal("bingham", [1e200, 1, 1], delta=0.4),
+    _diagonal("bingham", [1e160, 1, 1], delta=0.4),
+], ids=lambda data: f"{data['kind']}-{np.diag(data['A']).tolist()}")
+def test_odf_and_bingham_at_extreme_scales_of_a(capsys, data):
+    # the odf does not depend on the scale of A, the Bingham only on A delta, and
+    # det A of the scaled copy of an ill-conditioned A under- or overflows where
+    # log det A does not; pytest turns a RuntimeWarning into an error
     code, out = run_cli(capsys, "moments", "--oracle", "quad", "--resolution", "16",
-                        "--dist-json", dist)
+                        "--dist-json", json.dumps(data))
     assert code == 0
     mass = json.loads(out)["oracle"]["provenance"]["mass"]
     assert 0.0 < mass < math.inf
-    if json.loads(dist)["kind"] == "odf":
+    a = np.diag(data["A"])
+    if data["kind"] == "odf" and np.all(a == a[0]):
         assert abs(mass - 1.0) <= 1e-12
+    # the density in log space from the diagonal of A, which never forms det A
+    theta = oracle.uniform_sphere(3, 50, 1)
+    qf = theta**2 @ (1.0 / a)
+    if data["kind"] == "odf":
+        log_q = -math.log(4.0 * math.pi) - 0.5 * np.sum(np.log(a)) - 1.5 * np.log(qf)
+    else:
+        delta = data["delta"]
+        log_c = -0.5 * (np.sum(np.log(a)) + 3.0 * math.log(4.0 * math.pi * delta))
+        log_q = log_c - qf / (4.0 * delta)
+    dist = distributions.distribution_from_json(data)
+    np.testing.assert_allclose(distributions.density_many(dist, theta), np.exp(log_q),
+                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("A, delta", [(np.diag([1e-300, 1.0, 1.0]), 1e-300), (np.eye(3), 1e-6)])
@@ -316,6 +334,24 @@ def test_bingham_whose_density_underflows_is_domain_error(capsys, A, delta, meth
                         "--samples", "10000", "--dist-json", dist)
     assert code == 2
     assert "Gaussian one on R^3" in json.loads(out)["error"]
+
+
+def test_bingham_outside_n3_whose_density_underflows_names_no_gaussian_constant(capsys):
+    dist = '{"kind":"bingham","n":2,"A":[[1e-300,0],[0,1]],"delta":1e-300}'
+    code, out = run_cli(capsys, "moments", "--oracle", "quad", "--dist-json", dist)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("the quadrature mass of the bingham density is 0.0; ")
+    assert "Gaussian" not in error
+
+
+def test_monte_carlo_that_misses_a_concentrated_vmf_is_domain_error(capsys):
+    # the density integrates to 1, but no sample reaches the cap where it is not 0
+    dist = '{"kind":"vmf","n":3,"u":[1,0,0],"k":1e10}'
+    code, out = run_cli(capsys, "moments", "--oracle", "mc", "--samples", "10000",
+                        "--dist-json", dist)
+    assert code == 2
+    assert json.loads(out)["error"] == "the Monte Carlo mass of the vmf density is 0.0"
 
 
 def test_asymmetric_peanut_near_the_largest_double(capsys):
