@@ -277,12 +277,20 @@ def peanut_closed_form_report(A, params):
     matrices gives a batch report.  The report does not depend on the scale
     of A, so a matrix whose largest entry lies beyond 2^(+-400) is scaled by
     a power of two before the eigensolve: any finite valid A gives a report.
+    The copy loses the entries below 2^-1074 max|A|, which move no output
+    bit but may leave it singular, so where it lost one the given A decides
+    positive definiteness.
     """
-    A = np.asarray(A, dtype=float)
+    given = A = np.asarray(A, dtype=float)
     if A.ndim in (2, 3):  # else symmetric_eigen raises
         A = _rescaled(A, np.abs(A).max(axis=(-2, -1), keepdims=True))
     lam_hat, _ = symmetric_eigen(A)  # raises on asymmetric input
-    if np.any(lam_hat[..., -1] <= 0.0):
+    smallest = lam_hat[..., -1]
+    if A is not given:
+        lost = np.count_nonzero(A, axis=(-2, -1)) < np.count_nonzero(given, axis=(-2, -1))
+        if np.any(lost):  # LAPACK scales the given A itself
+            smallest = np.where(lost, np.linalg.eigvalsh(_symmetric_part(given))[..., 0], smallest)
+    if np.any(smallest <= 0.0):
         raise ValidationError("A not positive definite")
     n = A.shape[-1]
     trace = np.trace(A, axis1=-2, axis2=-1)[..., None]

@@ -103,10 +103,16 @@ class SphericalDistribution:
         """(A, delta) for every check, density and closed form: the given pair, or
         (2^-e A, 2^e delta) where max|A| = m 2^e has n|e| > 600.  That bounds the log
         det A which the odf and Bingham log densities cancel, keeping them to 1e-13; the
-        peanut and odf do not depend on the scale of A, nor the Bingham on that of A delta."""
-        e = int(np.frexp(np.abs(self.A).max())[1])
+        peanut and odf do not depend on the scale of A, nor the Bingham on that of A delta.
+        Where 2^-e would take the smallest nonzero |A| = m' 2^f below the normal doubles,
+        e is the midpoint of e and f, if that keeps every nonzero entry a normal double."""
+        magnitudes = np.abs(self.A)
+        e = int(np.frexp(magnitudes.max())[1])
         if self.n * abs(e) <= 600:
             return self.A, self.delta
+        f = int(np.frexp(magnitudes[magnitudes > 0.0].min())[1])
+        if f - e < -1021 and e - f <= 2042:
+            e = (e + f) // 2
         with np.errstate(over="ignore"):  # validate reports an A delta beyond doubles
             delta = None if self.delta is None else float(np.ldexp(self.delta, e))
         return np.ldexp(self.A, -e), delta

@@ -242,6 +242,40 @@ def test_peanut_report_rejects_asymmetric_and_indefinite():
         an.peanut_closed_form_report(np.diag([1.0, -1.0]), P1)
 
 
+def test_peanut_report_of_a_matrix_wider_than_the_doubles():
+    # 1e-30 is 2^-1096 max|A|, so the copy scaled by max|A| loses it and is
+    # singular; the given A is positive definite, in a stack too
+    wide = np.diag([1e300, 1e-30, 1.0])
+    stack = np.stack([wide, np.diag([3.0, 1.0, 1.0]), wide[::-1, ::-1]])
+    batch = an.peanut_closed_form_report(stack, P1)
+    for row, A in enumerate(stack):
+        one = an.peanut_closed_form_report(A, P1)
+        assert np.array_equal(batch.eigenvalues[row], one.eigenvalues)
+        assert (batch.fa[row], batch.ratio[row]) == (one.fa, one.ratio)
+    assert batch.fa[0] == 0.60302268915552726
+    with pytest.raises(ValidationError, match="A not positive definite"):
+        an.peanut_closed_form_report(np.diag([1e300, -1e-30, 1.0]), P1)
+
+
+@pytest.mark.parametrize("big", [1e200, 1e300])
+def test_peanut_report_decides_positive_definiteness_as_validate_does(big):
+    # rotations of diag(big, 1, 1), whose smallest eigenvalues lie below the
+    # rounding of the largest: a copy that lost no entry decides for both
+    decisions = []
+    for degrees in range(1, 90):
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        A = np.array([[c * c + s * s * big, c * s * (big - 1.0), 0.0],
+                      [c * s * (big - 1.0), s * s + c * c * big, 0.0], [0.0, 0.0, 1.0]])
+        try:
+            an.peanut_closed_form_report(A, P1)
+            closed = True
+        except ValidationError:
+            closed = False
+        decisions.append(closed)
+        assert closed == (not d.SphericalDistribution("peanut", 3, A=A)._violations)
+    assert any(decisions) and not all(decisions)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_batch_reports_equal_per_point_reports(n):
     # thousands of points, so a batch formula that rounds differently from the

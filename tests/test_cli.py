@@ -287,6 +287,28 @@ def test_peanut_whose_eigenvalue_overflows_matches_its_scaled_copy(capsys):
     assert outputs[0] == outputs[1]
 
 
+# 1e-30 is 2^-1096 max|A|: a copy of A scaled by max|A| alone loses it
+WIDE_PEANUT = '{"kind":"peanut","n":3,"A":[[1e300,0,0],[0,1e-30,0],[0,0,1]]}'
+WIDE_PEANUT_GOLDEN = {
+    "anisotropy": '{"schema": "1", "eigenvalues": [0.60000000000000009, 0.20000000000000001, '
+                  '0.20000000000000001], "fa": 0.60302268915552726, "ratio": 3, "bounds": '
+                  '{"fa3_max": 0.603022689156, "r_max": 3}, "bound_flags": {"fa3_max": true, '
+                  '"r_max": true}}\n',
+    "moments": '{"schema": "1", "closed_form": {"mean": [0, 0, 0], "second_moment": '
+               '[[0.60000000000000009, 0, 0], [0, 0.20000000000000001, 0], '
+               '[0, 0, 0.20000000000000001]], "covariance": [[0.60000000000000009, 0, 0], '
+               '[0, 0.20000000000000001, 0], [0, 0, 0.20000000000000001]], '
+               '"source": "closed_form"}}\n',
+}
+
+
+@pytest.mark.parametrize("command", sorted(WIDE_PEANUT_GOLDEN))
+def test_peanut_whose_entries_span_more_than_the_doubles_is_positive_definite(capsys, command):
+    code, out = run_cli(capsys, command, "--dist-json", WIDE_PEANUT)
+    assert code == 0
+    assert out == WIDE_PEANUT_GOLDEN[command]
+
+
 def _diagonal(kind, diagonal, **extra):
     return {"kind": kind, "n": 3, "A": np.diag(diagonal).tolist(), **extra}
 
@@ -296,14 +318,18 @@ def _diagonal(kind, diagonal, **extra):
     _diagonal("odf", [1e-200] * 3),
     _diagonal("odf", [1e200, 1, 1]),
     _diagonal("odf", [1e160, 1, 1]),
+    _diagonal("odf", [1e300, 1e-30, 1]),
+    _diagonal("odf", [1e-10, 1e300, 1]),
     _diagonal("bingham", [1e200] * 3, delta=1e-200),
     _diagonal("bingham", [1e200, 1, 1], delta=0.4),
     _diagonal("bingham", [1e160, 1, 1], delta=0.4),
+    _diagonal("bingham", [1e300, 1e-30, 1], delta=0.4),
 ], ids=lambda data: f"{data['kind']}-{np.diag(data['A']).tolist()}")
 def test_odf_and_bingham_at_extreme_scales_of_a(capsys, data):
     # the odf does not depend on the scale of A, the Bingham only on A delta, and
     # det A of the scaled copy of an ill-conditioned A under- or overflows where
-    # log det A does not; pytest turns a RuntimeWarning into an error
+    # log det A does not; a copy scaled by max|A| alone would take 1e-30 to 0 and
+    # 1e-10 to a subnormal; pytest turns a RuntimeWarning into an error
     code, out = run_cli(capsys, "moments", "--oracle", "quad", "--resolution", "16",
                         "--dist-json", json.dumps(data))
     assert code == 0

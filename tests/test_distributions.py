@@ -155,6 +155,25 @@ def test_positive_definite_decisions_are_pinned():
     assert hashlib.sha256(bytes(decisions)).hexdigest() == PINNED_PD_DECISIONS
 
 
+@pytest.mark.parametrize("diagonal", [
+    [1e300, 1e-30, 1.0],  # 1e-30 / 1e300 is below the smallest double
+    [1e-10, 1e300, 1.0],  # ... below the smallest normal double
+    [1e100, 1e-310, 1.0],  # a subnormal entry
+    [1e-200, 1e-5, 1e220],
+])
+@pytest.mark.parametrize("kind", ["peanut", "odf"])
+def test_scaled_copy_keeps_every_entry_where_the_range_allows(kind, diagonal):
+    A = np.diag(diagonal)
+    A[0, 1] = A[1, 0] = 1e-200
+    dist = getattr(d, kind)(A)  # positive definite
+    copy = dist._scaled[0]
+    scale = A[0, 0] / copy[0, 0]
+    assert np.frexp(scale)[0] == 0.5  # a power of two
+    assert np.array_equal(copy * scale, A)
+    assert np.min(np.abs(copy[copy != 0.0])) >= 2.0**-1022
+    assert np.max(np.abs(copy)) < 2.0**1021
+
+
 # ---------------------------------------------------------------------------
 # densities
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from sphermoments import anisotropy as an
@@ -98,6 +99,53 @@ def test_quad_peanut_third_moment_vanishes():
     tensor = oracle.quad_raw_moment(d.peanut(np.diag([3.0, 1.0])), 3)
     assert tensor.shape == (2, 2, 2)
     assert np.max(np.abs(tensor)) < 1e-12
+
+
+def _quad_case(kind, n):
+    rng = rng_for(12)
+    if kind in ("vmf", "bimodal_vmf"):
+        return getattr(d, kind)(random_unit(rng, n), 3.0)
+    if kind == "bingham":
+        return d.bingham(random_spd(rng, n), 0.3)
+    return getattr(d, kind)(random_spd(rng, n))
+
+
+# every kind at n = 2 and 3; odf densities are defined for n = 3 only
+@pytest.mark.parametrize("kind, n", [
+    (kind, n) for kind in d.KINDS for n in (2, 3) if (kind, n) != ("odf", 2)
+])
+def test_doubling_check_does_not_move_a_bit_of_the_report(kind, n):
+    dist = _quad_case(kind, n)
+    checked = oracle.quad_moments(dist, resolution=64)
+    unchecked = oracle.quad_moments(dist, resolution=64, check=False)
+    assert _same_report(checked, unchecked)
+
+
+def _einsum_deviation(dist, raw, resolution):
+    """The doubling deviation with the doubled grid's second moment summed by the
+    reported grid's ``einsum``: the reference for the matrix products."""
+    points, weights = oracle._nodes(dist.n, 2 * resolution)
+    wq = weights * d.density_many(dist, points)
+    return max(np.max(np.abs(raw[1] - wq @ points)),
+               np.max(np.abs(raw[2] - np.einsum("m,mi,mj->ij", wq, points, points))))
+
+
+# spikes that 256 points per dimension do not resolve, so each warns
+@pytest.mark.parametrize("dist", [
+    d.vmf([1.0, 0.0], 5000.0),
+    d.vmf([1.0, 0.0, 0.0], 5000.0),
+    d.bimodal_vmf([0.6, 0.8, 0.0], 2000.0),
+    d.odf(np.diag([1e3, 1.0, 1e-3])),
+], ids=["vmf2", "vmf3", "bimodal3", "odf3"])
+def test_doubling_deviation_matches_an_einsum_reference(dist):
+    points, weights = oracle._nodes(dist.n, 256)
+    raw = oracle._raw_from_nodes(dist, points, weights, (1, 2))
+    dev = oracle._doubling_deviation(dist, raw, 256)
+    assert dev >= oracle.DOUBLING_TOL
+    # the sums differ in rounding only, which is about 1e-16 of the moments
+    assert abs(dev - _einsum_deviation(dist, raw, 256)) <= 1e-12
+    warning = f"doubling resolution 256->512 changed results by {dev:.3e}"
+    assert oracle.quad_moments(dist).warnings == (warning,)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +399,39 @@ def test_odf_and_bingham_outputs_depend_on_the_scale_of_a_only_through_rounding(
     assert np.max(np.abs(base[-1] - scaled[-1])) <= 1e-13 * np.max(np.abs(base[1]))
     for x, y in zip(_odf_or_bingham_outputs(kind, i), _odf_or_bingham_outputs(kind, k)):
         assert np.array_equal(x, y)
+
+
+# ---------------------------------------------------------------------------
+# row norms: every unit vector the oracle draws divides by them
+
+# entries near 1e154 square to near the largest double, so a row of them overflows
+_ROW_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.just(0.0),
+    st.floats(-2.3e-308, 2.3e-308),  # subnormals
+    st.floats(1e153, 1.4e154),
+    st.floats(-1.4e154, -1e153),
+)
+
+
+def _assert_row_norms_match_numpy(z):
+    with np.errstate(over="ignore"):
+        got, want = oracle._row_norms(z), np.linalg.norm(z, axis=1)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.just(n)), elements=_ROW_ENTRIES)))
+def test_row_norms_are_numpys_bit_for_bit(z):
+    _assert_row_norms_match_numpy(z)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_row_norms_of_a_chunk_are_numpys_bit_for_bit(n):
+    # a chunk of oracle._CHUNK_ROWS rows, and more rows than NumPy's reduction buffer
+    for rows in (oracle._CHUNK_ROWS, 8191):
+        _assert_row_norms_match_numpy(rng_for(n).standard_normal((rows, n)))
 
 
 # ---------------------------------------------------------------------------

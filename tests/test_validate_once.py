@@ -1,6 +1,7 @@
 """Each distribution is validated once, when it is built, and builds its
 density constant once, on its first density call; a sweep takes both of its
-Bessel-ratio orders in one call.
+Bessel-ratio orders in one call; quadrature's doubled grid makes no ``einsum``
+call.
 
 The counts go through every module-level binding of ``jacobi_eigh`` (the
 positive-definiteness check inside ``validate``, which returns the
@@ -136,6 +137,17 @@ def test_density_constant_is_built_once_per_object(monkeypatch, kind, module, na
         oracle.mc_moments(dist, oracle.McSpec(5, samples, 0))
     distributions.log_density(dist, [1.0, 0.0, 0.0, 0.0, 0.0])
     assert len(calls) == 1
+
+
+def test_doubled_quadrature_grid_makes_no_einsum_call(monkeypatch):
+    # the reported grid's second moment keeps its pinned einsum; the doubled
+    # grid, which only checks it, sums by matrix products
+    calls = []
+    original = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or original(*args))
+    report = oracle.quad_moments(distributions.vmf([0.0, 0.6, 0.8], 2.0), check=True)
+    assert report.provenance["resolution"] == 256
+    assert calls == ["m,mi,mj->ij"]
 
 
 def test_sample_peanut_validates_once(start_counting):
