@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _checked, _is_symmetric, _symmetric_part
+from .distributions import _checked, _is_symmetric, _scale_exponent, _symmetric_part
 from .errors import (
     DegenerateTensorError,
     DomainError,
@@ -277,20 +277,17 @@ def peanut_closed_form_report(A, params):
     matrices gives a batch report.  The report does not depend on the scale
     of A, so a matrix whose largest entry lies beyond 2^(+-400) is scaled by
     a power of two before the eigensolve: any finite valid A gives a report.
-    The copy loses the entries below 2^-1074 max|A|, which move no output
-    bit but may leave it singular, so where it lost one the given A decides
-    positive definiteness.
+    The power comes from :func:`_scale_exponent`, as validate's does, so the
+    copy keeps every entry that validate's keeps.
     """
-    given = A = np.asarray(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     if A.ndim in (2, 3):  # else symmetric_eigen raises
-        A = _rescaled(A, np.abs(A).max(axis=(-2, -1), keepdims=True))
+        top = np.abs(A).max(axis=(-2, -1))
+        if not _moderate(top):
+            beyond = np.abs(np.frexp(top)[1]) > 400
+            A = np.ldexp(A, np.where(beyond, -_scale_exponent(A), 0)[..., None, None])
     lam_hat, _ = symmetric_eigen(A)  # raises on asymmetric input
-    smallest = lam_hat[..., -1]
-    if A is not given:
-        lost = np.count_nonzero(A, axis=(-2, -1)) < np.count_nonzero(given, axis=(-2, -1))
-        if np.any(lost):  # LAPACK scales the given A itself
-            smallest = np.where(lost, np.linalg.eigvalsh(_symmetric_part(given))[..., 0], smallest)
-    if np.any(smallest <= 0.0):
+    if np.any(lam_hat[..., -1] <= 0.0):
         raise ValidationError("A not positive definite")
     n = A.shape[-1]
     trace = np.trace(A, axis1=-2, axis2=-1)[..., None]

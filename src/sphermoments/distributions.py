@@ -101,18 +101,14 @@ class SphericalDistribution:
     @functools.cached_property
     def _scaled(self):
         """(A, delta) for every check, density and closed form: the given pair, or
-        (2^-e A, 2^e delta) where max|A| = m 2^e has n|e| > 600.  That bounds the log
-        det A which the odf and Bingham log densities cancel, keeping them to 1e-13; the
-        peanut and odf do not depend on the scale of A, nor the Bingham on that of A delta.
-        Where 2^-e would take the smallest nonzero |A| = m' 2^f below the normal doubles,
-        e is the midpoint of e and f, if that keeps every nonzero entry a normal double."""
-        magnitudes = np.abs(self.A)
-        e = int(np.frexp(magnitudes.max())[1])
+        (2^-e A, 2^e delta) with e from :func:`_scale_exponent` where max|A| = m 2^e0
+        has n|e0| > 600.  That bounds the log det A which the odf and Bingham log
+        densities cancel, keeping them to 1e-13; the peanut and odf do not depend on
+        the scale of A, nor the Bingham on that of A delta."""
+        e = int(np.frexp(np.abs(self.A).max())[1])
         if self.n * abs(e) <= 600:
             return self.A, self.delta
-        f = int(np.frexp(magnitudes[magnitudes > 0.0].min())[1])
-        if f - e < -1021 and e - f <= 2042:
-            e = (e + f) // 2
+        e = int(_scale_exponent(self.A))
         with np.errstate(over="ignore"):  # validate reports an A delta beyond doubles
             delta = None if self.delta is None else float(np.ldexp(self.delta, e))
         return np.ldexp(self.A, -e), delta
@@ -180,6 +176,19 @@ def _is_symmetric(A):
     half = 0.5 * A  # halves first: A - A^T overflows for entries near the largest double
     gap = np.max(np.abs(half - np.swapaxes(half, -1, -2)), axis=(-2, -1))
     return gap <= 0.5e-10 * np.max(np.abs(A), axis=(-2, -1))
+
+
+def _scale_exponent(A):
+    """The e by which a copy 2^-e A of A (or of each matrix of a stack) is scaled:
+    that of max|A| = m 2^e, or, where 2^-e would take the smallest nonzero
+    |A| = m' 2^f below the normal doubles, f + 1021, which keeps it normal, if the
+    largest entry then stays below 2^484.  LAPACK's eigensolvers rescale a matrix
+    above about 2^484 by a factor that is not a power of two, so the positive
+    definiteness of such a copy is decided on an exact multiple of A."""
+    magnitudes = np.abs(A)
+    e = np.frexp(magnitudes.max(axis=(-2, -1)))[1]
+    f = np.frexp(np.where(magnitudes > 0.0, magnitudes, np.inf).min(axis=(-2, -1)))[1]
+    return np.where((e - f > 1021) & (e - f <= 1505), f + 1021, e)
 
 
 def _symmetric_part(A):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -257,15 +258,28 @@ def test_peanut_report_of_a_matrix_wider_than_the_doubles():
         an.peanut_closed_form_report(np.diag([1e300, -1e-30, 1.0]), P1)
 
 
-@pytest.mark.parametrize("big", [1e200, 1e300])
-def test_peanut_report_decides_positive_definiteness_as_validate_does(big):
+# sha256 of the 89 decisions of each case below, which a copy of A scaled by
+# max|A| alone makes too: the tiny entries move none of them
+PINNED_ROTATION_DECISIONS = {
+    (1e200, 0.0): "677a4663fea5865b",
+    (1e300, 0.0): "5525f2138560b66d",
+    (2.0**300, 1e-230): "c01fe6cbc5c7638d",
+    (1e200, 1e-200): "677a4663fea5865b",
+    (1e300, 1e-230): "5525f2138560b66d",
+}
+
+
+@pytest.mark.parametrize("big, tiny", sorted(PINNED_ROTATION_DECISIONS))
+def test_peanut_report_decides_positive_definiteness_as_validate_does(big, tiny):
     # rotations of diag(big, 1, 1), whose smallest eigenvalues lie below the
-    # rounding of the largest: a copy that lost no entry decides for both
+    # rounding of the largest, with a tiny entry; validate and the closed route
+    # scale A by the power of two of _scale_exponent, so both decide on exact
+    # multiples of A that keep the tiny entry where A spans at most 2^1505
     decisions = []
     for degrees in range(1, 90):
         c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
         A = np.array([[c * c + s * s * big, c * s * (big - 1.0), 0.0],
-                      [c * s * (big - 1.0), s * s + c * c * big, 0.0], [0.0, 0.0, 1.0]])
+                      [c * s * (big - 1.0), s * s + c * c * big, tiny], [0.0, tiny, 1.0]])
         try:
             an.peanut_closed_form_report(A, P1)
             closed = True
@@ -274,6 +288,8 @@ def test_peanut_report_decides_positive_definiteness_as_validate_does(big):
         decisions.append(closed)
         assert closed == (not d.SphericalDistribution("peanut", 3, A=A)._violations)
     assert any(decisions) and not all(decisions)
+    digest = hashlib.sha256(bytes(decisions)).hexdigest()[:16]
+    assert digest == PINNED_ROTATION_DECISIONS[big, tiny]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphermoments import distributions as d
-from sphermoments import oracle
+from sphermoments import moments, oracle
 from sphermoments.errors import DomainError, ValidationError
 
 from util import random_rotation, random_spd, random_unit, rng_for
@@ -156,8 +156,8 @@ def test_positive_definite_decisions_are_pinned():
 
 
 @pytest.mark.parametrize("diagonal", [
-    [1e300, 1e-30, 1.0],  # 1e-30 / 1e300 is below the smallest double
-    [1e-10, 1e300, 1.0],  # ... below the smallest normal double
+    [1e200, 1e-30, 1.0],  # 1e-200 / 1e200 is below the smallest double
+    [1e110, 1e-5, 1.0],  # ... below the smallest normal double
     [1e100, 1e-310, 1.0],  # a subnormal entry
     [1e-200, 1e-5, 1e220],
 ])
@@ -171,7 +171,20 @@ def test_scaled_copy_keeps_every_entry_where_the_range_allows(kind, diagonal):
     assert np.frexp(scale)[0] == 0.5  # a power of two
     assert np.array_equal(copy * scale, A)
     assert np.min(np.abs(copy[copy != 0.0])) >= 2.0**-1022
-    assert np.max(np.abs(copy)) < 2.0**1021
+    assert np.max(np.abs(copy)) < 2.0**484  # LAPACK takes it as it is
+
+
+def test_scaled_copy_of_a_matrix_wider_than_lapack_takes():
+    # keeping 4e-307 normal would put entries near 2^1021 on the diagonal, beyond
+    # LAPACK's 2^484, and the trace of nine of them overflows: the copy is scaled
+    # by max|A| as for any A, and the closed form and Monte Carlo hold
+    A = 1.7e308 * np.eye(9)
+    A[0, 1] = A[1, 0] = 4e-307
+    dist = d.peanut(A)
+    assert np.array_equal(dist._scaled[0], np.ldexp(A, -1024))
+    assert np.trace(moments.closed_form_moments(dist).second_moment) == 1.0
+    report = oracle.mc_moments(dist, oracle.McSpec(9, 10_000, 3))
+    assert abs(np.trace(report.second_moment) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
