@@ -337,7 +337,7 @@ def test_odf_and_bingham_at_extreme_scales_of_a(capsys, data):
     a = np.diag(data["A"])
     if np.ptp(np.frexp(a)[1]) <= 1021:
         # where A spans more than the doubles, 16 points miss the density's
-        # spike and print a mass near 1e-134 with no warning: not pinned
+        # spike and print a mass below 1e-130 with no warning: not pinned
         assert 0.0 < mass < math.inf
     if data["kind"] == "odf" and np.all(a == a[0]):
         assert abs(mass - 1.0) <= 1e-12
