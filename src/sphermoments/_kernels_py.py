@@ -5,6 +5,8 @@ validated their inputs (finite, in domain) before reaching this layer.
 The scalar kernels take floats; ``bessel_ratio_array`` takes a 1-D array
 of arguments with one order or one order per argument, and reproduces the
 scalar ``bessel_ratio`` bit for bit, each order taking its own branch.
+``bessel_ratio_slope`` and its array twin carry the derivative of the ratio
+through the same pass, leaving the ratio's own operations as they are.
 """
 
 import math
@@ -150,6 +152,72 @@ def bessel_ratio(p, x):
     return r if r < 1.0 else _ONE_BELOW
 
 
+def _ratio_lentz_slope(p, x):
+    """``_ratio_lentz`` and the derivative in x of each of its steps, carried
+    forward: (f, df/dx).  b, d and c never vanish for p >= 1/2 and x > 0, so
+    the f recurrence is ``_ratio_lentz``'s without its zero guards."""
+    f = c = 1e-300
+    d = fd = cd = dd = 0.0
+    two_over_x = 2.0 / x
+    for j in range(1, RATIO_MAX_ITER + 1):
+        b = two_over_x * (p + j - 1.0)
+        bd = -b / x
+        d = b + d
+        dd = bd + dd
+        cd = bd - cd / c / c
+        c = b + 1.0 / c
+        d = 1.0 / d
+        dd = -dd * d * d
+        delta = c * d
+        fd = fd * delta + f * (cd * d + c * dd)
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return f, fd
+    raise ConvergenceError(
+        f"Bessel ratio continued fraction stalled (p={p}, x={x})"
+    )
+
+
+def _bessel_asymptotic_sums(p, x):
+    """The sum of ``_bessel_asymptotic_scaled``'s series, terms t_m in x^-m, and
+    the sum of m t_m over the same terms, so that d(sum)/dx = -(sum of m t_m)/x."""
+    mu = 4.0 * p * p
+    acc = 1.0
+    term = 1.0
+    weighted = 0.0
+    for m in range(1, 1000):
+        nxt = term * (((2 * m - 1) ** 2 - mu) / (8.0 * x * m))
+        if abs(nxt) >= abs(term):
+            break
+        term = nxt
+        acc += term
+        weighted += m * term
+        if abs(term) <= abs(acc) * SERIES_RTOL:
+            break
+    return acc, weighted
+
+
+def bessel_ratio_slope(p, x):
+    """(``bessel_ratio(p, x)``, its derivative in x); p >= 1, x >= 0.
+
+    The ratio is ``bessel_ratio``'s to the last bit.  The derivative comes
+    from the same pass: differentiated Lentz steps, the asymptotic series
+    differentiated term by term, and 1/(2p) below x = 1e-150.  No difference of numbers near 1 forms it, so it keeps its
+    relative accuracy where it is far below the ratio.
+    """
+    if x < RATIO_LEADING_TERM_X:
+        return x / (2.0 * p), 1.0 / (2.0 * p)
+    if x > series_cutoff(p):
+        above, above_w = _bessel_asymptotic_sums(p, x)
+        below, below_w = _bessel_asymptotic_sums(p - 1.0, x)
+        root = math.sqrt(2.0 * math.pi * x)
+        r = (above / root) / (below / root)
+        slope = r * (below_w / below - above_w / above) / x
+    else:
+        r, slope = _ratio_lentz_slope(p, x)
+    return (r if r < 1.0 else _ONE_BELOW), slope
+
+
 # ---------------------------------------------------------------------------
 # array kernels: each element takes the scalar kernel's branch and the same
 # floating-point operations in the same order, so results are bit-identical;
@@ -207,6 +275,66 @@ def _ratio_lentz_array(p, x):
     )
 
 
+def _bessel_asymptotic_sums_array(p, x):
+    """``_bessel_asymptotic_sums`` elementwise over 1-D arrays of p and x."""
+    mu = 4.0 * p * p
+    acc = np.ones(x.shape)
+    weighted = np.zeros(x.shape)
+    live = np.arange(x.size)  # elements still summing
+    term = np.ones(x.shape)
+    xs = x
+    for m in range(1, 1000):
+        if not live.size:
+            break
+        nxt = term * (((2 * m - 1) ** 2 - mu) / (8.0 * xs * m))
+        go = ~(np.abs(nxt) >= np.abs(term))
+        live, term, xs, mu = live[go], nxt[go], xs[go], mu[go]
+        acc[live] += term
+        weighted[live] += m * term
+        go = ~(np.abs(term) <= np.abs(acc[live]) * SERIES_RTOL)
+        live, term, xs, mu = live[go], term[go], xs[go], mu[go]
+    return acc, weighted
+
+
+def _ratio_lentz_slope_array(p, x):
+    """``_ratio_lentz_slope`` elementwise over 1-D arrays of p and x."""
+    out = np.empty(x.shape)
+    out_d = np.empty(x.shape)
+    live = np.arange(x.size)  # elements not yet converged
+    f = np.full(x.shape, 1e-300)
+    c = f.copy()
+    d = np.zeros(x.shape)
+    fd, cd, dd = d.copy(), d.copy(), d.copy()
+    xs = x
+    two_over_x = 2.0 / x
+    for j in range(1, RATIO_MAX_ITER + 1):
+        if not live.size:
+            return out, out_d
+        b = two_over_x * (p + j - 1.0)
+        bd = -b / xs
+        d = b + d
+        dd = bd + dd
+        cd = bd - cd / c / c
+        c = b + 1.0 / c
+        d = 1.0 / d
+        dd = -dd * d * d
+        delta = c * d
+        fd = fd * delta + f * (cd * d + c * dd)
+        f *= delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[live[done]] = f[done]
+            out_d[live[done]] = fd[done]
+            go = ~done
+            live, f, c, d, fd, cd, dd = (a[go] for a in (live, f, c, d, fd, cd, dd))
+            xs, two_over_x, p = xs[go], two_over_x[go], p[go]
+    if not live.size:
+        return out, out_d
+    raise ConvergenceError(
+        f"Bessel ratio continued fraction stalled (p={p[0]}, x={x[live[0]]})"
+    )
+
+
 def bessel_ratio_array(p, x):
     """``bessel_ratio`` elementwise over a 1-D array of x >= 0; ``p`` is one
     order or a 1-D array of one order per entry of x."""
@@ -227,3 +355,26 @@ def bessel_ratio_array(p, x):
         out[far] = np.divide(*np.split(scaled, 2))
         out[near] = _ratio_lentz_array(p[near], x[near])
     return np.where(out < 1.0, out, _ONE_BELOW)
+
+
+def bessel_ratio_slope_array(p, x):
+    """``bessel_ratio_slope`` elementwise over a 1-D array of x >= 0, as
+    ``bessel_ratio_array`` takes them: (ratios, derivatives)."""
+    p = np.broadcast_to(p, x.shape)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = x / (2.0 * p)
+        slope = 1.0 / (2.0 * p)
+        live = x >= RATIO_LEADING_TERM_X
+        far = live & (x > series_cutoff(p))
+        near = live & ~far
+        pf, xf = p[far], x[far]
+        sums, weighted = _bessel_asymptotic_sums_array(np.concatenate([pf, pf - 1.0]),
+                                                       np.concatenate([xf, xf]))
+        above, below = np.split(sums, 2)
+        above_w, below_w = np.split(weighted, 2)
+        root = np.sqrt(2.0 * math.pi * xf)
+        r = (above / root) / (below / root)
+        out[far] = r
+        slope[far] = r * (below_w / below - above_w / above) / xf
+        out[near], slope[near] = _ratio_lentz_slope_array(p[near], x[near])
+    return np.where(out < 1.0, out, _ONE_BELOW), slope

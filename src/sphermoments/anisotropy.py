@@ -6,12 +6,14 @@ the peanut (diffusion tensor (s^2/mu) [I/(n+2) + 2A/((n+2) tr A)], with
 eigenvalues read off from those of A) and for the bimodal vMF (tensor
 alpha(k) I + beta(k) u u^T), and a generic route that builds the tensor,
 eigensolves it and applies the index definitions.  Agreement of the two
-is part of the test suite.
+is part of the test suite.  The generic route reads the unimodal vMF's
+report off closed formulas too: its tensor alpha I + (w - alpha) u u^T has
+eigenvalues alpha = r/k and w = Var(u.x) = dr/dk.
 
-Both routes also take a batch: a 1-D array of concentrations k, an
-(m, n, n) stack of matrices A, or a distribution whose k is such an array.
-The report then holds one row per entry (see ``AnisotropyReport``), each
-equal to the report of that entry alone.
+The closed formulas also take a batch: a 1-D array of concentrations k, an
+(m, n, n) stack of matrices A, or a vmf distribution whose k is such an
+array.  The report then holds one row per entry (see ``AnisotropyReport``),
+each equal to the report of that entry alone.
 """
 
 import math
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .distributions import _checked, _is_symmetric, _scale_exponent, _symmetric_part
 from .errors import (
     DegenerateTensorError,
@@ -28,11 +31,12 @@ from .errors import (
     ValidationError,
 )
 from .moments import (
+    SMALL_K,
     _check_concentrations,
     _check_direction,
     _vmf_coefficients,
+    _vmf_variances,
     closed_form_moments,
-    vmf_covariance,
 )
 from .reports import _freeze
 
@@ -58,6 +62,9 @@ PEANUT_R_MAX = 3.0
 BOUND_SLACK = 1e-12
 
 _SIGN_TOL = 1e-12
+# below this k the unimodal vMF's r/k - Var(u.x) cancels, and is taken as
+# r (r - I_{n/2+1}/I_{n/2}), which does not
+_GAP_SPLIT_K = 1.0
 
 
 @dataclass(frozen=True)
@@ -127,19 +134,13 @@ _UNIT_MOTILITY = MotilityParams(1.0, 1.0)  # s^2/mu = 1: D is the covariance
 
 def diffusion_tensor(dist, params):
     """D = (s^2/mu) Var[q] from the closed-form covariance of `dist`."""
-    if dist.kind == "vmf":
-        if not isinstance(dist.k, np.ndarray):  # a batch point's u was checked already
-            _checked(dist)
-        cov = vmf_covariance(dist.k, dist.u)  # also takes a batch point's k-array
-    else:
-        report = closed_form_moments(dist)
-        if report is None:
-            raise UnsupportedError(
-                f"no closed-form covariance for kind {dist.kind!r}; "
-                "use the numerical oracle instead"
-            )
-        cov = report.covariance
-    return DiffusionTensor(params.factor * cov, params, dist.n)
+    report = closed_form_moments(dist)
+    if report is None:
+        raise UnsupportedError(
+            f"no closed-form covariance for kind {dist.kind!r}; "
+            "use the numerical oracle instead"
+        )
+    return DiffusionTensor(params.factor * report.covariance, params, dist.n)
 
 
 def symmetric_eigen(M):
@@ -179,10 +180,7 @@ def _moderate(top):
 def _rescaled(x, top):
     """x times 2^-e, exactly, where top = m 2^e is beyond 2^(+-400) and squares
     near it overflow or underflow; for quantities that do not depend on the scale."""
-    if _moderate(top):
-        return x
-    e = np.frexp(top)[1]
-    return np.ldexp(x, np.where(np.abs(e) > 400, -e, 0))
+    return x if _moderate(top) else np.ldexp(x, -np.frexp(top)[1])
 
 
 def fractional_anisotropy(eigenvalues):
@@ -190,29 +188,27 @@ def fractional_anisotropy(eigenvalues):
 
     0 for full radial symmetry, 1 for alignment to a single direction;
     values are clamped to [0, 1] only against 1e-14 rounding excursions.
-    An (m, n) array of eigenvalue rows gives an array of m FA values.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim not in (1, 2) or lam.shape[-1] not in (2, 3):
+    if lam.shape not in ((2,), (3,)):
         raise UnsupportedError(
             "fractional anisotropy is defined for 2 or 3 eigenvalues"
         )
     if not np.all(np.isfinite(lam)):
         raise DomainError("eigenvalues must be finite")
-    top = np.max(np.abs(lam), axis=-1)
-    if np.any(top == 0.0):
+    top = np.max(np.abs(lam))
+    if top == 0.0:
         raise DegenerateTensorError("all eigenvalues are zero")
-    if np.any(lam.min(axis=-1) < -1e-10 * top):
+    if lam.min() < -1e-10 * top:
         raise DomainError("eigenvalues must be nonnegative")
-    lam = _rescaled(np.clip(lam, 0.0, None), top[..., None])
-    spread = np.sum((lam - lam.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
-    sumsq = np.sum(lam * lam, axis=-1)
-    if lam.shape[-1] == 2:
+    lam = _rescaled(np.clip(lam, 0.0, None), top)
+    spread = np.sum((lam - lam.mean()) ** 2)
+    sumsq = np.sum(lam * lam)
+    if lam.size == 2:
         fa = np.sqrt(2.0 * spread / sumsq)
     else:
         fa = np.sqrt(3.0 * spread / (2.0 * sumsq))
-    fa = np.where((fa > 1.0) & (fa <= 1.0 + 1e-14), 1.0, fa)
-    return float(fa) if lam.ndim == 1 else fa
+    return 1.0 if 1.0 < fa <= 1.0 + 1e-14 else float(fa)
 
 
 def anisotropy_ratio(eigenvalues):
@@ -256,10 +252,13 @@ def _report(eigenvalues, fa, ratio, bounds):
     return AnisotropyReport(eigenvalues, fa, ratio, bounds, flags)
 
 
-def _hypot(x, y):
-    """math.hypot elementwise; np.hypot differs from it in the last bit."""
-    pairs = zip(np.ravel(x).tolist(), np.ravel(y).tolist())
-    return np.array([math.hypot(a, b) for a, b in pairs]).reshape(np.shape(x))
+def _hypot(*coordinates):
+    """math.hypot elementwise over numbers or arrays of one shape; np.hypot
+    differs from it in the last bit, and has no three-coordinate form."""
+    if not isinstance(coordinates[0], np.ndarray):
+        return math.hypot(*coordinates)
+    rows = zip(*(np.ravel(c).tolist() for c in coordinates))
+    return np.array([math.hypot(*row) for row in rows]).reshape(np.shape(coordinates[0]))
 
 
 def _square(x):
@@ -341,12 +340,68 @@ def vmf_closed_form_report(k, u, params):
     return _report(eigenvalues, fa, ratio, {"fa_max": 1.0})
 
 
+def _vmf_gap(n, k, r, alpha, w):
+    """alpha - w = r/k - Var(u.x) of the unimodal vMF, FA's numerator.
+
+    Where k < _GAP_SPLIT_K the two agree to many digits, and the gap is
+    taken as r^2 - r2 = r (r - I_{n/2+1}/I_{n/2}), whose terms differ by a
+    factor of about n/2 + 1 there; below SMALL_K both limits are 1/n.
+    """
+    gap = alpha - w
+    if not isinstance(k, np.ndarray):
+        if SMALL_K <= k < _GAP_SPLIT_K:
+            gap = r * (r - specfun.bessel_ratio(0.5 * n + 1.0, k))
+        return gap
+    near = (SMALL_K <= k) & (k < _GAP_SPLIT_K)
+    if near.any():
+        rn = r[near]
+        gap[near] = rn * (rn - specfun.bessel_ratio(0.5 * n + 1.0, k[near]))
+    return gap
+
+
+def _vmf_report(dist, params):
+    """The unimodal vMF's report from closed formulas, with no eigensolve.
+
+    The tensor is (s^2/mu)[alpha I + (w - alpha) u u^T], alpha = r/k and
+    w = Var(u.x) = dr/dk, so its eigenvalues are (s^2/mu) alpha, n - 1
+    times, then (s^2/mu) w, the smallest: w < alpha as I_{n/2}/I_{n/2-1}
+    exceeds I_{n/2+1}/I_{n/2}.  FA and the ratio alpha/w do not depend on
+    s^2/mu and come from the unscaled coefficients, so the ratio is +inf
+    only where w underflows (k above about 1e161), not where the scaled
+    eigenvalue does.
+    """
+    if isinstance(dist.k, np.ndarray):  # a batch point, which validate refuses
+        n, k = _check_direction(dist.u).size, _check_concentrations(dist.k)
+    else:
+        _checked(dist)
+        n, k = dist.n, dist.k
+    r, alpha, w = _vmf_variances(n, k)
+    eigenvalues = np.repeat(np.asarray(params.factor * alpha)[..., None], n, axis=-1)
+    eigenvalues[..., -1] = params.factor * w
+    fa = None
+    if n in (2, 3):
+        # hypot: 2 alpha^2 underflows where k passes about 1e154
+        norm = _hypot(alpha, w) if n == 2 else _hypot(alpha, alpha, w)
+        fa = _vmf_gap(n, k, r, alpha, w) / norm
+    # w underflows to 0 past k of about 1e161
+    if isinstance(k, np.ndarray):
+        with np.errstate(divide="ignore"):
+            ratio = alpha / w
+    else:
+        ratio = alpha / w if w else math.inf
+    return _report(eigenvalues, fa, ratio, {"fa_max": 1.0})
+
+
 def anisotropy_report(dist, params):
     """Generic route: diffusion tensor -> eigensolve -> FA and ratio.
 
-    FA is reported as None for n >= 4, where no definition is adopted.
-    A vmf distribution whose k is a 1-D array gives a batch report.
+    The unimodal vMF's tensor has closed-form eigenvalues, which it reads
+    off instead (see ``_vmf_report``); a vmf distribution whose k is a 1-D
+    array gives a batch report.  FA is reported as None for n >= 4, where
+    no definition is adopted.
     """
+    if dist.kind == "vmf":
+        return _vmf_report(dist, params)
     tensor = diffusion_tensor(dist, params)
     w, _ = symmetric_eigen(tensor.D)
     shape = w
@@ -355,10 +410,10 @@ def anisotropy_report(dist, params):
         # tensor loses bits: take them from the unscaled covariance
         shape, _ = symmetric_eigen(diffusion_tensor(dist, _UNIT_MOTILITY).D)
     fa = fractional_anisotropy(shape) if dist.n in (2, 3) else None
-    if np.any(w[..., 0] <= 0.0):
+    if w[0] <= 0.0:
         raise DegenerateTensorError("diffusion tensor is zero")
     # +inf where the smallest eigenvalue of D is zero, by underflow too
     with np.errstate(divide="ignore"):
-        ratio = np.where(w[..., -1] > 0.0, shape[..., 0] / shape[..., -1], math.inf)
+        ratio = np.where(w[-1] > 0.0, shape[0] / shape[-1], math.inf)
     bounds = _peanut_bounds(dist.n) if dist.kind == "peanut" else {"fa_max": 1.0}
     return _report(w, fa, ratio, bounds)

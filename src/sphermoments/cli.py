@@ -299,7 +299,7 @@ def _sweep_table(args, dist, params, values, outputs):
     elif dist.kind == "bimodal_vmf":
         report = anisotropy.vmf_closed_form_report(values, dist.u, params)
     else:
-        # the vmf has no closed route; the generic one takes a batch point
+        # anisotropy_report reads the vmf's closed formulas off a batch point
         point = distributions.SphericalDistribution("vmf", dist.n, u=dist.u, k=values)
         report = anisotropy.anisotropy_report(point, params)
     columns = {"parameter": args.parameter, "value": values}

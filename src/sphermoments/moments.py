@@ -5,10 +5,11 @@ All Bessel-function ratios route through the overflow-safe machinery in
 ``specfun``, so concentrations up to k = 1e4 stay accurate; the 0/0
 structure of the formulas at k = 0 is replaced by its analytic limit
 (zero mean, identity/n covariance) below ``SMALL_K``.  Both happen in
-``_vmf_coefficients`` alone, which every vMF closed form (here and in
-``anisotropy``) calls for its coefficients.  ``vmf_mean`` and
-``vmf_covariance`` take a number or a 1-D array of concentrations and run
-the same formulas on either.
+``_vmf_coefficients``, which every vMF closed form (here and in
+``anisotropy``) calls for its coefficients, and in ``_vmf_variances``,
+which gives the unimodal vMF's anisotropy its two variances.
+``vmf_mean`` and ``vmf_covariance`` take a number or a 1-D array of
+concentrations and run the same formulas on either.
 """
 
 import math
@@ -67,35 +68,62 @@ def _check_concentrations(k):
     return k
 
 
+def _beyond_small_k(k, limits, evaluate):
+    """``evaluate(k)`` where k >= SMALL_K, and the k -> 0 ``limits`` below it.
+
+    ``k`` is a checked number, giving floats, or a 1-D array, giving arrays;
+    ``evaluate`` then takes the entries k >= SMALL_K as one array.
+    """
+    if not isinstance(k, np.ndarray):
+        return evaluate(k) if k >= SMALL_K else limits
+    big = k >= SMALL_K
+    coefficients = tuple(np.full(k.shape, limit) for limit in limits)
+    for c, v in zip(coefficients, evaluate(k[big])):
+        c[big] = v
+    return coefficients
+
+
 def _vmf_coefficients(n, k, scale=1.0):
     """``scale`` times (r, r/k, r2), the coefficients of the vMF closed forms.
 
     r = I_{n/2}(k)/I_{n/2-1}(k) and r2 = I_{n/2+1}(k)/I_{n/2-1}(k); below
-    SMALL_K they take their k -> 0 limits (0, scale/n, 0).  ``k`` is a
-    checked number, giving floats, or a 1-D array, giving arrays: a number
+    SMALL_K they take their k -> 0 limits (0, scale/n, 0).  A number ``k``
     keeps two scalar Bessel-ratio calls, which are faster for one value,
     and an array takes both orders in one array call.  The products are
     (scale r)/k and (scale I_{n/2+1}/I_{n/2}) r, in that order.
     """
-    limits = (0.0, scale / n, 0.0)
-    batch = isinstance(k, np.ndarray)
-    big = k >= SMALL_K
-    if not (batch or big):
-        return limits
-    kb = k[big] if batch else k
-    if batch:
-        orders = np.repeat([0.5 * n, 0.5 * n + 1.0], kb.size)
-        r, r_up = np.split(specfun.bessel_ratio(orders, np.concatenate([kb, kb])), 2)
-    else:
-        r, r_up = specfun.bessel_ratio(0.5 * n, k), specfun.bessel_ratio(0.5 * n + 1.0, k)
-    sr = scale * r
-    values = (sr, sr / kb, scale * r_up * r)
-    if not batch:
-        return values
-    coefficients = tuple(np.full(k.shape, limit) for limit in limits)
-    for c, v in zip(coefficients, values):
-        c[big] = v
-    return coefficients
+
+    def evaluate(kb):
+        if isinstance(kb, np.ndarray):
+            orders = np.repeat([0.5 * n, 0.5 * n + 1.0], kb.size)
+            r, r_up = np.split(specfun.bessel_ratio(orders, np.concatenate([kb, kb])), 2)
+        else:
+            r, r_up = specfun.bessel_ratio(0.5 * n, kb), specfun.bessel_ratio(0.5 * n + 1.0, kb)
+        sr = scale * r
+        return sr, sr / kb, scale * r_up * r
+
+    return _beyond_small_k(k, (0.0, scale / n, 0.0), evaluate)
+
+
+def _vmf_variances(n, k):
+    """(r, r/k, Var(u.x)) of the unimodal vMF: its mean resultant length, its
+    variance across u and its variance along u, with the k -> 0 limits
+    (0, 1/n, 1/n) below SMALL_K.
+
+    Var(u.x) = dr/dk, the exponential-family identity dE[t]/dk = Var t for
+    t = u.x.  It comes from the Bessel-ratio pass that carries the
+    derivative, so no difference of numbers near 1 forms it, as
+    r/k + r2 - r^2 does at large k.  Var(u.x) < r/k, but where k is below
+    about 1e-7 n the two agree to rounding and could come out one ulp
+    apart in the wrong order: Var(u.x) is capped at r/k.
+    """
+
+    def evaluate(kb):
+        r, slope = specfun.bessel_ratio_slope(0.5 * n, kb)
+        alpha = r / kb
+        return r, alpha, np.minimum(slope, alpha)
+
+    return _beyond_small_k(k, (0.0, 1.0 / n, 1.0 / n), evaluate)
 
 
 def _mean(r, u):

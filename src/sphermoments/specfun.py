@@ -3,8 +3,9 @@
 Self-contained evaluation (power series, large-argument expansion,
 half-integer closed forms) for real nonnegative order, plus the
 overflow-safe ratio I_p/I_{p-1} that parameterizes every closed-form
-moment in this package.  The scalar kernels live in ``_kernels_py``;
-this module validates inputs and wraps their results.
+moment in this package, alone or with its derivative.  The scalar
+kernels live in ``_kernels_py``; this module validates inputs and wraps
+their results.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from . import _kernels_py
 from .errors import DomainError
 
-__all__ = ["BesselEval", "gamma", "bessel_i", "bessel_ratio"]
+__all__ = ["BesselEval", "gamma", "bessel_i", "bessel_ratio", "bessel_ratio_slope"]
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,33 @@ def bessel_ratio(p, x):
     array ``x``, ``p`` may be an array of the same shape holding each
     entry's order, so several orders share one pass.
     """
+    p, x, batch = _ratio_arguments(p, x)
+    if batch:
+        return _kernels_py.bessel_ratio_array(p, x)
+    return _kernels_py.bessel_ratio(p, x)
+
+
+def bessel_ratio_slope(p, x):
+    """(``bessel_ratio(p, x)``, its derivative in x), from one pass.
+
+    The ratio is ``bessel_ratio``'s to the last bit.  The derivative is
+    carried through the same continued fraction or series, so it keeps its
+    relative accuracy where it is far below the ratio: for the vMF on
+    S^(n-1), with p = n/2 and x = k, it is Var(u.x), about (n-1)/(2k^2) at
+    large k.  Takes numbers and arrays as ``bessel_ratio`` does, orders
+    p >= 1 only, and an array gives two arrays, each entry bit-identical
+    to that of a number.
+    """
+    p, x, batch = _ratio_arguments(p, x)
+    if np.any(p < 1.0) if isinstance(p, np.ndarray) else p < 1.0:
+        raise DomainError("the ratio's slope takes orders p >= 1, the vMF's n/2 for n >= 2")
+    if batch:
+        return _kernels_py.bessel_ratio_slope_array(p, x)
+    return _kernels_py.bessel_ratio_slope(p, x)
+
+
+def _ratio_arguments(p, x):
+    """Checked (p, x, whether x is an array) for the ratio kernels."""
     if isinstance(p, np.ndarray) and p.ndim:
         if not (isinstance(x, np.ndarray) and p.shape == x.shape):
             raise DomainError(f"an order array must have the shape of x, got {p.shape}")
@@ -115,5 +143,5 @@ def bessel_ratio(p, x):
         if p < 0.5:
             raise DomainError(f"ratio requires order p >= 1/2, got {p}")
     if isinstance(x, np.ndarray) and x.ndim:
-        return _kernels_py.bessel_ratio_array(p, _check_argument_array(x))
-    return _kernels_py.bessel_ratio(p, _check_argument(x))
+        return p, _check_argument_array(x), True
+    return p, _check_argument(x), False

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -384,6 +385,52 @@ def test_vmf_report_monotone_range():
         assert ratios[0] < 1.01
         assert np.all(np.diff(fas) >= 0)
         assert np.all(np.diff(ratios) >= 0)
+
+
+def _unimodal_reference(n, k, digits):
+    """(smallest eigenvalue, ratio, FA or None) of the unimodal vMF's report at
+    s^2/mu = 1; Var(u.x) = r/k + r2 - r^2 cancels here too, so the working
+    precision must grow with k."""
+    with mp.workdps(digits):
+        nu, k = mp.mpf(n) / 2, mp.mpf(k)
+        below = mp.besseli(nu - 1, k)
+        r = mp.besseli(nu, k) / below
+        across = r / k
+        var = across + mp.besseli(nu + 1, k) / below - r * r
+        fa = (across - var) / mp.sqrt((n - 1) * across**2 + var**2) if n <= 3 else None
+        return float(var), float(across / var), None if fa is None else float(fa)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 100, 1000])
+def test_unimodal_report_against_high_precision_reference(n):
+    tol = 1e-13 if n <= 10 else 1e-11
+    u = np.zeros(n)
+    u[-1] = 1.0
+    for e in range(-3, 151, 3):
+        report = an.anisotropy_report(d.vmf(u, 10.0**e), P1)
+        var, ratio, fa = _unimodal_reference(n, 10.0**e, 30 + 2 * max(e, 0))
+        assert report.eigenvalues[-1] == report.eigenvalues.min()
+        assert report.eigenvalues[-1] == pytest.approx(var, rel=tol, abs=0)
+        assert report.ratio == pytest.approx(ratio, rel=tol, abs=0)
+        if n <= 3:
+            assert report.fa == pytest.approx(fa, rel=tol, abs=0)
+
+
+def test_unimodal_report_agrees_with_the_eigensolve_of_its_tensor():
+    # up to k = 2 the tensor's r/k + r2 - r^2 is still exact enough to check
+    # the closed formulas against
+    rng = rng_for(23)
+    params = an.MotilityParams(1.3, 0.7)
+    for n in (2, 3, 5, 10):
+        u = random_unit(rng, n)
+        for k in (0.0, 1e-9, 1e-8, 1e-3, 0.1, 0.7, 1.0, 1.5, 2.0):
+            dist = d.vmf(u, k)
+            report = an.anisotropy_report(dist, params)
+            w, _ = an.symmetric_eigen(an.diffusion_tensor(dist, params).D)
+            np.testing.assert_allclose(report.eigenvalues, w, rtol=1e-12, atol=0)
+            assert report.ratio == pytest.approx(w[0] / w[-1], rel=1e-12)
+            if n <= 3:
+                assert report.fa == pytest.approx(an.fractional_anisotropy(w), abs=1e-12)
 
 
 def test_peanut_bound_suite():

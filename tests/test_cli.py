@@ -895,12 +895,12 @@ def test_moments_quadrature_golden_output(capsys, rule):
 
 
 ANISOTROPY_GOLDEN = {
-    # the generic route: vmf_covariance, then the eigensolve
+    # the unimodal vMF, read off r/k and Var(u.x) = dr/dk with no eigensolve
     "vmf_n5": (
         '{"kind":"vmf","n":5,"u":[0.2,-0.4,0.4,0.8,0],"k":7}',
-        '{"schema": "1", "eigenvalues": [0.2545667605900257, 0.25456676059002564, '
-        '0.25456676059002564, 0.25456676059002564, 0.080761109211191798], "fa": null, '
-        '"ratio": 3.1520958921493873, "bounds": {"fa_max": 1}, '
+        '{"schema": "1", "eigenvalues": [0.25456676059002564, 0.25456676059002564, '
+        '0.25456676059002564, 0.25456676059002564, 0.080761109211191645], "fa": null, '
+        '"ratio": 3.1520958921493927, "bounds": {"fa_max": 1}, '
         '"bound_flags": {"fa_max": true}}\n',
     ),
     # the generic route: the peanut's closed-form covariance symmetrizes A
@@ -920,6 +920,22 @@ def test_anisotropy_generic_route_golden_output(capsys, case):
     code, out = run_cli(capsys, "anisotropy", "--s", "1.3", "--mu", "0.7", "--dist-json", dist)
     assert code == 0
     assert out == expected
+
+
+def test_vmf_at_k_1e300_keeps_its_fa_and_an_unbounded_ratio(capsys):
+    # Var(u.x), about (n - 1)/(2 k^2), underflows to 0 past k of about 1e161;
+    # FA = (r/k - Var(u.x))/hypot(r/k, r/k, Var(u.x)) stays 1/sqrt(2) at n = 3,
+    # and the ratio follows the rule for an eigenvalue that underflows
+    dist = '{"kind":"vmf","n":3,"u":[0.6,-0.8,0],"k":1e300}'
+    code, out = run_cli(capsys, "anisotropy", "--dist-json", dist)
+    data = json.loads(out)
+    assert code == 0
+    assert abs(data["fa"] - 1.0 / math.sqrt(2.0)) <= 1e-15
+    assert data["ratio"] == "inf" and data["eigenvalues"][-1] == 0
+    code, out = run_cli(capsys, "sweep", "--parameter", "k", "--dist-json", dist,
+                        "--grid", "0,1e300", "--outputs", "fa,ratio")
+    assert code == 0
+    assert out == "parameter,value,fa,ratio\nk,0,0,1\nk,1.0000000000000001e+300,0.70710678118654757,inf\n"
 
 
 FAMILY_VALUES = {
@@ -954,16 +970,16 @@ SWEEP_GOLDEN = {
         "k,0,0,1,0.1588235294117647,0.1588235294117647,0.1588235294117647,0\n"
         "k,1.0000000000000001e-09,0,1,0.1588235294117647,0.1588235294117647,"
         "0.1588235294117647,0\n"
-        "k,1e-08,0,1,0.1588235294117647,0.1588235294117647,0.1588235294117647,"
-        "3.333333333333333e-09\n"
-        "k,29.989999999999998,0.68251238094436673,28.990000000018913,0.015357883941686435,"
-        "0.015357883941686435,0.00052976488243105949,0.96665555185061658\n"
-        "k,30,0.68252092918532636,29.000000000005137,0.015352941176470594,"
-        "0.015352941176470592,0.00052941176470578874,0.96666666666666679\n"
-        "k,30.010000000000002,0.68252947148831578,29.010000000004815,0.015348001587725653,"
-        "0.015348001587725653,0.00052905899992151343,0.9666777740753083\n"
-        "k,100000,0.70709971003380867,99999.048963173511,4.7646582352941183e-06,"
-        "4.7646582352941183e-06,4.7647035493795457e-11,0.99999000000000005\n"
+        "k,1e-08,7.6980035891950073e-18,1.0000000000000002,0.1588235294117647,"
+        "0.1588235294117647,0.15882352941176467,3.333333333333333e-09\n"
+        "k,29.989999999999998,0.68251238094435074,28.990000000000173,0.015357883941686435,"
+        "0.015357883941686435,0.00052976488243140199,0.96665555185061658\n"
+        "k,30,0.68252092918532226,29.000000000000306,0.015352941176470592,"
+        "0.015352941176470592,0.00052941176470587689,0.96666666666666679\n"
+        "k,30.010000000000002,0.68252947148831167,29.009999999999998,0.015348001587725653,"
+        "0.015348001587725653,0.00052905899992160136,0.9666777740753083\n"
+        "k,100000,0.70709971003034644,99999,4.7646582352941183e-06,"
+        "4.7646582352941183e-06,4.7647058823529418e-11,0.99999000000000005\n"
     ),
     "bimodal_vmf": (
         "k,0,0,1,0.15882352941176472,0.15882352941176472,0.15882352941176472,0\n"

@@ -296,3 +296,71 @@ def test_ratio_array_rejects_out_of_domain(bad):
     p, x = (np.array(bad[0]), bad[1]) if isinstance(bad, tuple) else (1.5, bad)
     with pytest.raises(DomainError):
         specfun.bessel_ratio(p, np.array(x))
+
+
+# ---------------------------------------------------------------------------
+# ratio with its derivative
+
+
+def _nudged(x, steps):
+    """x moved by ``steps`` ulps."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return x
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ratio_slope_array_is_bit_identical_to_scalar(data):
+    # entries on and around every branch boundary: the leading term below
+    # 1e-150, Lentz up to series_cutoff(p), asymptotic above
+    orders = data.draw(st.lists(
+        st.sampled_from([1.0, 1.5, 2.5, 5.0, 7.0, 8.0, 60.0]) | st.floats(1.0, 60.0),
+        min_size=1, max_size=10,
+    ))
+    x = []
+    for p in orders:
+        edges = st.sampled_from([_kernels_py.RATIO_LEADING_TERM_X, _kernels_py.series_cutoff(p)])
+        x.append(data.draw(st.one_of(
+            st.builds(_nudged, edges, st.integers(-2, 2)),
+            st.floats(0.25, 4.0).map(lambda f, p=p: f * _kernels_py.series_cutoff(p)),
+            st.floats(0.0, 1e6),
+        )))
+    ratios, slopes = specfun.bessel_ratio_slope(np.array(orders), np.array(x))
+    scalar = [specfun.bessel_ratio_slope(p, v) for p, v in zip(orders, x)]
+    assert _bits(ratios) == _bits([r for r, _ in scalar])
+    assert _bits(slopes) == _bits([s for _, s in scalar])
+    # the ratio is bessel_ratio's, and one order for the whole array takes the same path
+    assert _bits(ratios) == _bits([specfun.bessel_ratio(p, v) for p, v in zip(orders, x)])
+    one = specfun.bessel_ratio_slope(orders[0], np.array(x))
+    assert _bits(one) == _bits(list(zip(*[specfun.bessel_ratio_slope(orders[0], v) for v in x])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 5, 7, 10, 20, 100, 1000]),
+    st.floats(-12.0, 150.0),
+)
+def test_ratio_slope_lies_between_zero_and_ratio_over_argument(n, e):
+    # Var(u.x) = dr/dk of the vMF on S^(n-1) is positive and below r/k, the
+    # variance across u; where their relative gap, about 2k^2/(n(n+2)), is
+    # below the rounding of either, they may meet or cross by an ulp
+    k = 10.0**e
+    r, var = specfun.bessel_ratio_slope(0.5 * n, k)
+    across = r / k
+    assert 0.0 < var
+    if 2.0 * k * k > 1e-11 * n * (n + 2):
+        assert var < across
+    else:
+        assert var <= across * (1.0 + 4 * 2.0**-52)
+
+
+def test_ratio_slope_rejects_what_ratio_rejects_and_orders_below_one():
+    for p, x in ((0.3, 1.0), (1.5, -1.0), (1.5, math.inf), (np.array([1.5, 2.5]), np.ones(3)),
+                 (0.5, 1.0), (np.array([1.5, 0.5]), np.ones(2))):
+        with pytest.raises(DomainError):
+            specfun.bessel_ratio_slope(p, x)

@@ -88,21 +88,21 @@ SWEEP_OUTPUT_GOLDEN = {
         '{"schema": "1", "rows": [{"parameter": "k", "value": 0, "fa": 0, "ratio": 1, '
         '"eigenvalue_1": 0.1588235294117647, "eigenvalue_2": 0.1588235294117647, '
         '"eigenvalue_3": 0.1588235294117647, "mean_norm": 0}, '
-        '{"parameter": "k", "value": 0.5, "fa": 0.018866798859466152, '
-        '"ratio": 1.033410073866968, "eigenvalue_1": 0.15623795897448095, '
-        '"eigenvalue_2": 0.15623795897448095, "eigenvalue_3": 0.15118679692161935, '
+        '{"parameter": "k", "value": 0.5, "fa": 0.018866798859466155, '
+        '"ratio": 1.0334100738669683, "eigenvalue_1": 0.15623795897448095, '
+        '"eigenvalue_2": 0.15623795897448095, "eigenvalue_3": 0.15118679692161929, '
         '"mean_norm": 0.16395341373865283}, '
-        '{"parameter": "k", "value": 2, "fa": 0.22657141013517465, '
-        '"ratio": 1.5442015519172498, "eigenvalue_1": 0.12800733052626875, '
-        '"eigenvalue_2": 0.12800733052626875, "eigenvalue_3": 0.082895481077154345, '
+        '{"parameter": "k", "value": 2, "fa": 0.22657141013517487, '
+        '"ratio": 1.5442015519172505, "eigenvalue_1": 0.12800733052626875, '
+        '"eigenvalue_2": 0.12800733052626875, "eigenvalue_3": 0.082895481077154318, '
         '"mean_norm": 0.53731472072754782}, '
-        '{"parameter": "k", "value": 30, "fa": 0.68252092918532636, '
-        '"ratio": 29.000000000005137, "eigenvalue_1": 0.015352941176470594, '
-        '"eigenvalue_2": 0.015352941176470592, "eigenvalue_3": 0.00052941176470578874, '
+        '{"parameter": "k", "value": 30, "fa": 0.68252092918532226, '
+        '"ratio": 29.000000000000306, "eigenvalue_1": 0.015352941176470592, '
+        '"eigenvalue_2": 0.015352941176470592, "eigenvalue_3": 0.00052941176470587689, '
         '"mean_norm": 0.96666666666666679}, '
-        '{"parameter": "k", "value": 100000, "fa": 0.70709971003380867, '
-        '"ratio": 99999.048963173511, "eigenvalue_1": 4.7646582352941183e-06, '
-        '"eigenvalue_2": 4.7646582352941183e-06, "eigenvalue_3": 4.7647035493795457e-11, '
+        '{"parameter": "k", "value": 100000, "fa": 0.70709971003034644, '
+        '"ratio": 99999, "eigenvalue_1": 4.7646582352941183e-06, '
+        '"eigenvalue_2": 4.7646582352941183e-06, "eigenvalue_3": 4.7647058823529418e-11, '
         '"mean_norm": 0.99999000000000005}]}\n'
     ),
     "peanut2_csv": (
@@ -230,12 +230,12 @@ SWEEP_OUTPUT_GOLDEN = {
         "k,0,0,1,0.23823529411764707,0.23823529411764707,0\n"
         "k,4.9406564584124654e-324,0,1,0.23823529411764707,0.23823529411764707,0\n"
         "k,1e-150,0,1,0.23823529411764707,0.23823529411764707,0\n"
-        "k,1,0.16149919839709675,1.25975720063713,0.21269168963305465,0.16883546252046389,"
+        "k,1,0.16149919839709689,1.2597572006371303,0.21269168963305465,0.16883546252046386,"
         "0.44638996589653446\n"
-        "k,30,0.98260446791487488,57.973163120499486,0.015615363526390619,"
-        "0.00026935503750129134,0.98318955536533525\n"
-        "k,100000,0.99999499993631458,199997.95260693398,4.7646820587639706e-06,"
-        "2.3823654175741686e-11,0.99999499998749997\n"
+        "k,30,0.98260446791491229,57.973163120623148,0.015615363526390619,"
+        "0.00026935503750071676,0.98318955536533525\n"
+        "k,100000,0.99999499993749918,199997.99999249986,4.7646820587639706e-06,"
+        "2.3823648531198569e-11,0.99999499998749997\n"
     ),
 }
 

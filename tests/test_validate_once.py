@@ -71,7 +71,7 @@ def test_cli_anisotropy_validates_an_asymmetric_peanut_once(capsys, start_counti
 @pytest.mark.parametrize("payload, parameter, validations", [
     ({"kind": "peanut", "n": 3, "A": np.eye(3).tolist()}, "eigen_ratio", 1),
     ({"kind": "bimodal_vmf", "n": 3, "u": [0, 0, 1], "k": 1}, "k", 1),
-    # the vmf's generic route takes a batch point, which is validated when built
+    # the vmf's report takes a batch point, which is validated when built
     ({"kind": "vmf", "n": 3, "u": [0, 0, 1], "k": 1}, "k", 2),
 ])
 def test_cli_sweep_builds_no_object_for_the_closed_routes(
@@ -86,7 +86,7 @@ def test_cli_sweep_builds_no_object_for_the_closed_routes(
 
 @pytest.mark.parametrize("kind, outputs, calls", [
     ("bimodal_vmf", "fa,ratio", 1),
-    # the generic route's covariance and the mean, one call each
+    # the mean, and the order n/2 + 1 of the vmf report's FA gap where k < 1
     ("vmf", "fa,ratio,mean_norm", 2),
 ])
 def test_cli_sweep_takes_both_bessel_ratio_orders_in_one_call(
