@@ -262,12 +262,17 @@ def _hypot(*coordinates):
 
 
 def _square(x):
-    """x ** 2 as Python computes it for a float (C pow); np.square and
-    ``** 2`` on arrays differ from it in the last bit."""
-    return np.float_power(x, 2.0)
+    """x ** 2 as Python computes it for a float (C pow), elementwise over an
+    array too; np.square and ``** 2`` on arrays differ from it in the last bit."""
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2.0
 
 
-def peanut_closed_form_report(A, params):
+def _sqrt(x):
+    """math.sqrt of a number, np.sqrt elementwise over an array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def peanut_closed_form_report(A, params, *, validated=False):
     """Anisotropy report for the peanut, from the eigenvalues of A alone.
 
     Demands symmetric positive-definite A (symmetrize upstream if an
@@ -277,7 +282,10 @@ def peanut_closed_form_report(A, params):
     of A, so a matrix whose largest entry lies beyond 2^(+-400) is scaled by
     a power of two before the eigensolve: any finite valid A gives a report.
     The power comes from :func:`_scale_exponent`, as validate's does, so the
-    copy keeps every entry that validate's keeps.
+    copy keeps every entry that validate's keeps.  ``validated=True`` vouches
+    that A is finite, square and symmetric, as a validated peanut's is: the
+    eigenvalues then come from eigh alone, without symmetric_eigen's checks
+    and the eigenvectors it orders.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim in (2, 3):  # else symmetric_eigen raises
@@ -285,16 +293,22 @@ def peanut_closed_form_report(A, params):
         if not _moderate(top):
             beyond = np.abs(np.frexp(top)[1]) > 400
             A = np.ldexp(A, np.where(beyond, -_scale_exponent(A), 0)[..., None, None])
-    lam_hat, _ = symmetric_eigen(A)  # raises on asymmetric input
+    if validated:
+        lam_hat = np.linalg.eigh(_symmetric_part(A))[0][..., ::-1]
+    else:
+        lam_hat, _ = symmetric_eigen(A)  # raises on asymmetric input
     if np.any(lam_hat[..., -1] <= 0.0):
         raise ValidationError("A not positive definite")
     n = A.shape[-1]
     trace = np.trace(A, axis1=-2, axis2=-1)[..., None]
     eigenvalues = params.factor / (n + 2) * (1.0 + 2.0 * lam_hat / trace)
-    lam = np.moveaxis(lam_hat, -1, 0)  # lam[i]: the i-th eigenvalue of each A
-    shifted = np.moveaxis(trace + 2.0 * lam_hat, -1, 0)  # tr A + 2 lhat_i
+    shifted = trace + 2.0 * lam_hat  # tr A + 2 lhat_i
+    if lam_hat.ndim == 1:  # Python floats: a tenth of the time of 0-d NumPy
+        lam, shifted = lam_hat.tolist(), shifted.tolist()
+    else:  # lam[i]: the i-th eigenvalue of each A
+        lam, shifted = np.moveaxis(lam_hat, -1, 0), np.moveaxis(shifted, -1, 0)
     if n == 2:
-        fa = 2.0 * np.abs(lam[0] - lam[1]) / _hypot(shifted[0], shifted[1])
+        fa = 2.0 * abs(lam[0] - lam[1]) / _hypot(shifted[0], shifted[1])
     elif n == 3:
         num = 2.0 * (
             _square(2.0 * lam[0] - lam[1] - lam[2])
@@ -302,7 +316,7 @@ def peanut_closed_form_report(A, params):
             + _square(2.0 * lam[2] - lam[0] - lam[1])
         )
         den = 3.0 * (_square(shifted[0]) + _square(shifted[1]) + _square(shifted[2]))
-        fa = np.sqrt(num / den)
+        fa = _sqrt(num / den)
     else:
         fa = None
     return _report(eigenvalues, fa, shifted[0] / shifted[-1], _peanut_bounds(n))

@@ -47,64 +47,104 @@ class _Digits12(float):
     """Marker for values emitted with 12 significant digits (bound constants)."""
 
 
-def _format_float(x, spec=".17g"):
+def _quoted(x):
+    """JSON's spelling of a non-finite float: the string "inf", "-inf" or "nan"."""
     if math.isnan(x):
         return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), spec)
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 def dumps(obj):
-    """Serialize to JSON with 17-significant-digit floats."""
-    parts = []
-    _emit(obj, parts)
-    return "".join(parts)
+    """Serialize to JSON with 17-significant-digit floats.
+
+    The whole report is spelled through one template, filled by a single
+    ``%``: each finite float is a %.17g slot, and everything else (keys,
+    strings, null, booleans, ints, the quoted non-finite floats, _Digits12
+    at 12 digits) is literal text with ``%`` escaped.
+    """
+    template, values = [], []
+    _spell(obj, template, values)
+    return "".join(template) % tuple(values)
 
 
-def _emit(obj, parts):
+def _literal(text):
+    return text.replace("%", "%%")
+
+
+@functools.lru_cache(maxsize=256)
+def _string(text):
+    """The template text of a JSON string: the keys and names of a report recur."""
+    return _literal(json.dumps(text))
+
+
+def _spell(obj, template, values):
+    """Append obj's template text to ``template`` and its slots' floats to ``values``."""
     # exact types first, the bulk of a report; subclasses such as _Digits12
     # and np.float64 fall through to the isinstance chain
     if type(obj) is float:
-        parts.append(_format_float(obj))
+        if math.isfinite(obj):
+            template.append("%.17g")
+            values.append(obj)
+        else:
+            template.append(_quoted(obj))
     elif type(obj) is list:
-        _emit_items(obj, parts)
+        _spell_items(obj, template, values)
     elif obj is None:
-        parts.append("null")
+        template.append("null")
     elif isinstance(obj, (bool, np.bool_)):
-        parts.append("true" if obj else "false")
+        template.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
+        template.append(str(int(obj)))
     elif isinstance(obj, _Digits12):
-        parts.append(_format_float(float(obj), ".12g"))
+        x = float(obj)
+        template.append(format(x, ".12g") if math.isfinite(x) else _quoted(x))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
+        _spell(float(obj), template, values)
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        template.append(_string(obj))
     elif isinstance(obj, dict):
-        parts.append("{")
+        template.append("{")
         for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            _emit(value, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        _emit_items(obj, parts)
+            template.append((", " if i else "") + _string(str(key)) + ": ")
+            _spell(value, template, values)
+        template.append("}")
+    elif isinstance(obj, (list, tuple)):
+        _spell_items(obj, template, values)
+    elif isinstance(obj, np.ndarray) and obj.ndim:
+        _spell_items(obj.tolist(), template, values)
     elif isinstance(obj, _Table):
-        parts.append(_json_rows(obj))
+        _spell_table(obj, template, values)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit_items(items, parts):
-    parts.append("[")
+def _spell_items(items, template, values):
+    """A JSON array: one cached template for a vector of finite Python
+    floats or a rectangular list of such vectors, else item by item."""
+    if items:
+        first = items[0]
+        if type(first) is list and all(type(row) is list and len(row) == len(first) for row in items):
+            flat, shape = [x for row in items for x in row], (len(items), len(first))
+        else:
+            flat, shape = items, (len(items),)
+        # a sum that overflows only sends finite floats the slow way
+        if flat and set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+            template.append(_slots(shape))
+            values.extend(flat)
+            return
+    template.append("[")
     for i, value in enumerate(items):
         if i:
-            parts.append(", ")
-        _emit(value, parts)
-    parts.append("]")
+            template.append(", ")
+        _spell(value, template, values)
+    template.append("]")
+
+
+@functools.lru_cache(maxsize=64)
+def _slots(shape):
+    """The JSON array of %.17g slots for a vector (m,) or a matrix (m, n)."""
+    row = "[" + ", ".join(["%.17g"] * shape[-1]) + "]"
+    return row if len(shape) == 1 else "[" + ", ".join([row] * shape[0]) + "]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,33 +172,35 @@ def _csv_text(table):
             cells.append("%.17g")
             columns.append(column)
         else:
-            cells.append(str(column).replace("%", "%%"))
+            cells.append(_literal(str(column)))
     row = ",".join(cells) + "\n"
     return ",".join(table.columns) + "\n" + (row * table.rows) % tuple(_interleaved(columns))
 
 
-def _json_rows(table):
-    """JSON array of one object per row, as ``_emit`` would spell the rows;
-    only a column holding non-finite values is spelled cell by cell."""
+def _spell_table(table, template, values):
+    """The JSON array of one object per row, as a list of dicts would be
+    spelled, appended as one template of rows; a float column holding
+    non-finite values takes a %s slot, filled with its cells spelled one by one."""
     fields, columns, spelled = [], [], {}
     for name, column in table.columns.items():
         if isinstance(column, np.ndarray):
             bad = np.flatnonzero(~np.isfinite(column)).tolist()
-            if bad:  # JSON quotes inf, -inf and nan
+            if bad:
                 cells = ["%.17g" % x for x in column.tolist()]
                 for i in bad:
-                    cells[i] = f'"{cells[i]}"'
+                    cells[i] = _quoted(column[i])
                 spelled[len(columns)] = cells
             slot = "%s" if bad else "%.17g"
             columns.append(column)
         else:
-            slot = dumps(column).replace("%", "%%")
-        fields.append(f"{json.dumps(str(name))}: {slot}")
-    values = _interleaved(columns)
-    for j, cells in spelled.items():
-        values[j :: len(columns)] = cells
+            slot = _literal(dumps(column))
+        fields.append(_string(str(name)) + ": " + slot)
+    cells = _interleaved(columns)
+    for j, column_cells in spelled.items():
+        cells[j :: len(columns)] = column_cells
     row = "{" + ", ".join(fields) + "}"
-    return "[" + ", ".join([row] * table.rows) % tuple(values) + "]"
+    template.append("[" + ", ".join([row] * table.rows) + "]")
+    values.extend(cells)
 
 
 def _write_output(text, path):
@@ -203,8 +245,8 @@ def _anisotropy_report(dist, params):
     distributions._checked(dist)
     if dist.kind == "bimodal_vmf":
         return anisotropy.vmf_closed_form_report(dist.k, dist.u, params)
-    if dist.kind == "peanut" and np.all(distributions._is_symmetric(dist.A)):
-        return anisotropy.peanut_closed_form_report(dist.A, params)
+    if dist.kind == "peanut" and distributions._is_symmetric(dist.A):
+        return anisotropy.peanut_closed_form_report(dist.A, params, validated=True)
     # asymmetric peanuts too: the closed-form covariance symmetrizes A
     return anisotropy.anisotropy_report(dist, params)
 

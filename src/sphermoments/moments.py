@@ -6,8 +6,9 @@ All Bessel-function ratios route through the overflow-safe machinery in
 structure of the formulas at k = 0 is replaced by its analytic limit
 (zero mean, identity/n covariance) below ``SMALL_K``.  Both happen in
 ``_vmf_coefficients``, which every vMF closed form (here and in
-``anisotropy``) calls for its coefficients, and in ``_vmf_variances``,
-which gives the unimodal vMF's anisotropy its two variances.
+``anisotropy``) calls for its coefficients, in ``_vmf_variances``,
+which gives the unimodal vMF's anisotropy its two variances, and in
+``vmf_mean``, which takes the one ratio I_{n/2}/I_{n/2-1}.
 ``vmf_mean`` and ``vmf_covariance`` take a number or a 1-D array of
 concentrations and run the same formulas on either.
 """
@@ -138,7 +139,9 @@ def vmf_mean(k, u):
     A 1-D array of m concentrations gives the (m, n) array of means.
     """
     u = _check_direction(u)
-    r, _, _ = _vmf_coefficients(u.size, _check_concentrations(k))
+    p = 0.5 * u.size
+    (r,) = _beyond_small_k(_check_concentrations(k), (0.0,),
+                           lambda kb: (specfun.bessel_ratio(p, kb),))
     return _mean(r, u)
 
 

@@ -259,6 +259,23 @@ def test_peanut_report_of_a_matrix_wider_than_the_doubles():
         an.peanut_closed_form_report(np.diag([1e300, -1e-30, 1.0]), P1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_validated_peanut_report_equals_the_checked_one(n):
+    # validated=True leaves out symmetric_eigen's checks and eigenvectors,
+    # not a bit of the report: at moderate scales, beyond 2^(+-400), in a stack
+    rng = rng_for(40 + n)
+    stack = np.stack([random_spd(rng, n) for _ in range(20)])
+    for A in [*stack, np.ldexp(stack[0], 700), np.ldexp(stack[1], -700), stack]:
+        want = an.peanut_closed_form_report(A, P1)
+        got = an.peanut_closed_form_report(A, P1, validated=True)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.ratio, want.ratio)
+        assert (got.fa is None) == (want.fa is None)
+        assert want.fa is None or np.array_equal(got.fa, want.fa)
+        assert got.bound_flags.keys() == want.bound_flags.keys()
+        assert all(np.array_equal(got.bound_flags[b], want.bound_flags[b]) for b in want.bounds)
+
+
 # sha256 of the 89 decisions of each case below, which a copy of A scaled by
 # max|A| alone makes too: the tiny entries move none of them
 PINNED_ROTATION_DECISIONS = {

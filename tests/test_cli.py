@@ -6,6 +6,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sphermoments import cli, distributions, oracle, validation
 
@@ -728,6 +731,82 @@ def test_dumps_golden_bytes_for_every_type():
     )
     with pytest.raises(TypeError, match="cannot serialize"):
         cli.dumps({1.5, 2.5})
+
+
+def _spelled(obj):
+    """dumps as a walk that spells one value at a time: the reference."""
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format(x, ".12g" if isinstance(obj, cli._Digits12) else ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_spelled(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, cli._Table):
+        return _spelled([
+            {name: column[i] if isinstance(column, np.ndarray) else column
+             for name, column in obj.columns.items()}
+            for i in range(obj.rows)
+        ])
+    return "[" + ", ".join(_spelled(v) for v in obj) + "]"
+
+
+_TEXT = st.text(st.sampled_from('%sd7."\\ é☃'), max_size=6)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324]))
+_FLOAT_ARRAYS = st.one_of(
+    arrays(np.float64, st.tuples(st.integers(0, 4)), elements=_FLOATS),
+    arrays(np.float32, st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           elements=st.floats(width=32)),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT,
+    st.booleans().map(np.bool_), st.integers(-99, 99).map(np.int64),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    _FLOATS.map(cli._Digits12), _FLOAT_ARRAYS,
+    st.lists(_FLOATS, max_size=5),  # float vectors, non-finite entries too
+    st.integers(0, 3).flatmap(  # rectangular float matrices
+        lambda width: st.lists(st.lists(_FLOATS, min_size=width, max_size=width), max_size=3)),
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3),
+             min_size=2, max_size=3),  # ragged rows of finite floats
+)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 3))
+    columns = draw(st.dictionaries(_TEXT, st.one_of(
+        st.none(), st.integers(), _TEXT,
+        arrays(np.float64, rows, elements=_FLOATS),
+    ), max_size=4))
+    return cli._Table(columns, rows)
+
+
+_REPORTS = st.recursive(
+    st.one_of(_LEAVES, _tables()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),  # ragged, mixed int/float/bool lists too
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REPORTS, _tables())
+def test_dumps_spells_as_one_value_at_a_time(obj, table):
+    # a table beside every report: one drawn as a leaf of it is rare
+    assert cli.dumps([obj, table]) == _spelled([obj, table])
 
 
 def test_moments_golden_output(capsys):

@@ -26,7 +26,8 @@ from util import random_spd, rng_for
 def start_counting(monkeypatch):
     """Call it to start counting; it returns the live {name: calls} dict."""
 
-    def start(originals=(_linalg.jacobi_eigh, distributions.validate)):
+    def start(originals=(_linalg.jacobi_eigh, distributions.validate), entries=None):
+        """``entries``, a list, takes the size of each call's second argument."""
         counts = {}
         for original in originals:
             name = original.__name__
@@ -34,6 +35,8 @@ def start_counting(monkeypatch):
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 counts[_name] += 1
+                if entries is not None:
+                    entries.append(np.size(args[1]))
                 result = _original(*args, **kwargs)
                 if _name == "jacobi_eigh":  # one eigenvalue per row, no vectors
                     assert result.shape == (len(args[0]),)
@@ -68,6 +71,13 @@ def test_cli_anisotropy_validates_an_asymmetric_peanut_once(capsys, start_counti
     assert counts == {"jacobi_eigh": 1, "validate": 1}
 
 
+def test_cli_anisotropy_of_a_symmetric_peanut_orders_no_eigenvectors(capsys, start_counting):
+    # the validated symmetric A goes straight to eigh's eigenvalues
+    counts = start_counting((anisotropy.symmetric_eigen,))
+    assert cli.main(["anisotropy", "--dist-json", _peanut_json(False)]) == 0
+    assert counts == {"symmetric_eigen": 0}
+
+
 @pytest.mark.parametrize("payload, parameter, validations", [
     ({"kind": "peanut", "n": 3, "A": np.eye(3).tolist()}, "eigen_ratio", 1),
     ({"kind": "bimodal_vmf", "n": 3, "u": [0, 0, 1], "k": 1}, "k", 1),
@@ -84,20 +94,24 @@ def test_cli_sweep_builds_no_object_for_the_closed_routes(
     assert counts["validate"] == validations
 
 
-@pytest.mark.parametrize("kind, outputs, calls", [
-    ("bimodal_vmf", "fa,ratio", 1),
-    # the mean, and the order n/2 + 1 of the vmf report's FA gap where k < 1
-    ("vmf", "fa,ratio,mean_norm", 2),
+# the grid's four k above SMALL_K: both orders of the bimodal report; the
+# vmf's mean, one order, and the order n/2 + 1 of its FA gap where k < 1
+# (ids: kind, outputs and the number of calls)
+@pytest.mark.parametrize("kind, outputs, entries", [
+    pytest.param("bimodal_vmf", "fa,ratio", [8], id="bimodal_vmf-fa,ratio-1"),
+    pytest.param("vmf", "fa,ratio,mean_norm", [4, 1], id="vmf-fa,ratio,mean_norm-2"),
 ])
 def test_cli_sweep_takes_both_bessel_ratio_orders_in_one_call(
-    capsys, start_counting, kind, outputs, calls
+    capsys, start_counting, kind, outputs, entries
 ):
-    counts = start_counting((specfun.bessel_ratio,))
+    sizes = []
+    counts = start_counting((specfun.bessel_ratio,), sizes)
     payload = {"kind": kind, "n": 3, "u": [0, 0, 1], "k": 1}
     argv = ["sweep", "--dist-json", json.dumps(payload), "--parameter", "k",
             "--grid", "0,0.5,2,40,1e5", "--outputs", outputs]
     assert cli.main(argv) == 0
-    assert counts == {"bessel_ratio": calls}
+    assert counts == {"bessel_ratio": len(entries)}
+    assert sorted(sizes, reverse=True) == entries
 
 
 def test_scalar_vmf_moments_takes_one_bessel_ratio_call_per_order(start_counting):
